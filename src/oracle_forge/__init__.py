@@ -9,6 +9,7 @@ from .codec import (
     codon_bits,
     decode,
     decode_codon,
+    decode_indices,
     render_ascii,
 )
 from .engine import (
@@ -28,6 +29,7 @@ from .evaluate import (
     allcost,
     circuit_unitary,
     correctness,
+    evaluate_batch,
     evaluate_circuit,
     fitness_value,
     is_success,
@@ -37,6 +39,7 @@ from .gates import (
     Gate,
     GateSet,
     Placement,
+    PlacementTable,
     case_count,
     case_from_index,
     default_gate_set,

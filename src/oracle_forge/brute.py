@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import GoalSpec, placement_operator
+from .evaluate import GoalSpec
 from .gates import GateSet
 from .kron_apply import apply_structured
 from .linalg import identity
@@ -50,9 +50,9 @@ def min_cost_search(
     budget: int = 10 ** 8,
     prune: bool = True,
 ) -> SearchReport:
-    m = goal.num_qubits
-    cases = [p for p in gs.cases(m) if not p.is_wire]
-    total = node_count(len(cases), max_gates)
+    table = gs.table(goal.num_qubits)
+    ops = list(zip(table.cases[1:], table.operators[1:]))  # index 0 is the wire
+    total = node_count(len(ops), max_gates)
     if total > budget:
         raise ValueError(f"search would examine {total} circuits, over the budget of {budget}")
 
@@ -63,8 +63,6 @@ def min_cost_search(
     best_cost: int | None = None
     witness: list | None = None
     examined = 0
-
-    ops = [(p, placement_operator(p, m)) for p in cases]
 
     def visit(u: np.ndarray, cost: int, seq: list, depth: int):
         nonlocal best_cost, witness, examined

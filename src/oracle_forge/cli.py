@@ -15,12 +15,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import targets
 from .brute import min_cost_search
 from .codec import load_circuit, render_ascii, save_circuit
 from .engine import HqeaParams, evolve, run_batch
-from .evaluate import FitnessParams, allcost, correctness, circuit_unitary
+from .evaluate import FitnessParams, evaluate_circuit, is_success
 from .gates import default_gate_set, extend_gate_set
 from .kron_apply import BENCH_CSV_HEADER, benchmark_sweep
 
@@ -138,18 +139,21 @@ def _resolve_goal(args, config: dict):
     return goal, gs
 
 
-def _resolve_params(args, config: dict, goal) -> tuple[HqeaParams, int]:
+def _resolve_fitness(args, config: dict, goal) -> FitnessParams:
     satcost = _setting(args, config, "satcost")
     if satcost is None:
         satcost = goal.optimal_cost if goal.optimal_cost is not None else 0
-    fitness = FitnessParams(
+    return FitnessParams(
         satcost=satcost,
         award=_setting(args, config, "award"),
         punish=_setting(args, config, "punish"),
         eps=_setting(args, config, "eps"),
     )
+
+
+def _resolve_params(args, config: dict, goal) -> tuple[HqeaParams, int]:
     params = HqeaParams(
-        fitness=fitness,
+        fitness=_resolve_fitness(args, config, goal),
         pop_size=_setting(args, config, "pop"),
         measurements=_setting(args, config, "measurements"),
         max_gen=_setting(args, config, "max_gen"),
@@ -188,15 +192,12 @@ def cmd_experiment(args) -> int:
 
     header = "goal,satcost,g,max_gen,award,punish,runs,ST,AS,OT"
     rows = []
+    fp = params.fitness
     for punish in sweep:
-        fp = FitnessParams(satcost=params.fitness.satcost, award=params.fitness.award,
-                           punish=punish, eps=params.fitness.eps)
-        p = HqeaParams(fitness=fp, pop_size=params.pop_size, measurements=params.measurements,
-                       max_gen=params.max_gen, seed=params.seed)
-        stats = run_batch(goal, gs, g, p, n_runs)
+        stats = run_batch(goal, gs, g, replace(params, fitness=replace(fp, punish=punish)), n_runs)
         ot = "" if stats.ot is None else stats.ot
         name = goal.name or "custom"
-        rows.append(f"{name},{fp.satcost},{g},{p.max_gen},{fp.award},{punish},"
+        rows.append(f"{name},{fp.satcost},{g},{params.max_gen},{fp.award},{punish},"
                     f"{n_runs},{stats.st},{stats.as_mean},{ot}")
     print(header)
     for row in rows:
@@ -216,18 +217,13 @@ def cmd_verify(args) -> int:
     circuit, m = load_circuit(args.circuit, gs)
     if m != goal.num_qubits:
         raise ValueError(f"circuit is on {m} qubits but goal is on {goal.num_qubits}")
-    lam = circuit_unitary(circuit, m)
-    corr = correctness(lam, goal)
-    cost = allcost(circuit)
-    satcost = args.satcost
-    if satcost is None:
-        satcost = goal.optimal_cost if goal.optimal_cost is not None else 0
-    ok = corr >= 1.0 - 1e-6 and cost <= satcost
+    fp = _resolve_fitness(args, config, goal)
+    result = evaluate_circuit(circuit, goal, fp)
     print(render_ascii(circuit, m))
-    print(f"correctness: {corr:.12f}")
-    print(f"cost:        {cost}")
-    print(f"satcost:     {satcost}")
-    print(f"success:     {ok}")
+    print(f"correctness: {result.correctness:.12f}")
+    print(f"cost:        {result.allcost}")
+    print(f"satcost:     {fp.satcost}")
+    print(f"success:     {is_success(result, fp)}")
     return 0
 
 
@@ -244,8 +240,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_brute(args) -> int:
-    config = _load_config(args) if getattr(args, "config", None) else {}
-    goal, gs = _resolve_goal(args, config)
+    goal, gs = _resolve_goal(args, {})
     report = min_cost_search(goal, args.max_gates, gs, eps=args.eps, budget=args.budget)
     text = report.dumps()
     if args.out:

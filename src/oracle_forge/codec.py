@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .gates import GateSet, Placement, case_count, case_from_index
+from .gates import GateSet, Placement
 
 
 def codon_bits(n_cases: int) -> int:
@@ -28,21 +28,24 @@ def decode_codon(s: int, n_cases: int, k: int) -> int:
     return (s * n_cases) >> k
 
 
+def decode_indices(bits: np.ndarray, n_cases: int) -> np.ndarray:
+    """Decode a (B, g*k) bit array into the (B, g) placement indices."""
+    k = codon_bits(n_cases)
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim != 2 or k == 0 or bits.shape[1] % k != 0:
+        raise ValueError(f"chromosome length {bits.shape} is not a multiple of codon width {k}")
+    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+    s = bits.reshape(len(bits), bits.shape[1] // k, k) @ weights
+    return (s * n_cases) >> k
+
+
 def decode(bits, m: int, gs: GateSet) -> list[Placement]:
     """Decode a bit sequence of length g*k into g placements."""
     bits = np.asarray(bits, dtype=np.uint8)
-    n_cases = case_count(m, gs)
-    k = codon_bits(n_cases)
-    if bits.ndim != 1 or len(bits) % k != 0:
-        raise ValueError(f"chromosome length {bits.shape} is not a multiple of codon width {k}")
-    cases = gs.cases(m)
-    out = []
-    for i in range(0, len(bits), k):
-        s = 0
-        for b in bits[i:i + k]:
-            s = (s << 1) | int(b)
-        out.append(cases[decode_codon(s, n_cases, k)])
-    return out
+    table = gs.table(m)
+    if bits.ndim != 1:
+        raise ValueError(f"chromosome shape {bits.shape} is not one-dimensional")
+    return [table.cases[i] for i in decode_indices(bits[None], len(table))[0]]
 
 
 def bits_from_string(text: str) -> np.ndarray:

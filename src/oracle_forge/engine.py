@@ -15,6 +15,11 @@ best stagnates for `restart_after` generations the amplitudes and
 the guide are reset to the uniform superposition (the best-ever record is
 kept); this catastrophe step stops the whole population from idling in an
 exhausted attractor.
+
+A generation is scored as one batch: all pop x measurements bit strings
+are decoded at once, circuits are keyed by their non-wire placement
+indices (wires change neither lambda nor cost), and only the circuits not
+already in the run's cache are evaluated, as one stack.
 """
 from __future__ import annotations
 
@@ -25,12 +30,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .codec import codon_bits, decode
-from .evaluate import EvalResult, FitnessParams, GoalSpec, evaluate_circuit, is_success
-from .gates import GateSet, case_count
+from .codec import codon_bits, decode, decode_indices
+from .evaluate import (
+    EvalResult,
+    FitnessParams,
+    GoalSpec,
+    Score,
+    evaluate_batch,
+    evaluate_circuit,
+    is_success,
+)
+from .gates import GateSet
 
 THETA_MIN = 0.01
 THETA_MAX = math.pi / 2 - 0.01
+# Scores kept per run; the cache is a pure memo, so it is simply cleared when full.
+CACHE_LIMIT = 1 << 16
 
 RUN_CSV_HEADER = "gen,best_fitness,best_correctness,best_cost"
 
@@ -99,16 +114,20 @@ def rotate_toward(theta: np.ndarray, bits: np.ndarray, delta: float) -> np.ndarr
 
 def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> RunResult:
     """Run the evolutionary loop until a satisfying circuit or max_gen generations."""
+    if max_gates < 1:
+        raise ValueError(f"the gate budget must be at least 1, got {max_gates}")
     m = goal.num_qubits
-    n_cases = case_count(m, gs)
-    k = codon_bits(n_cases)
-    n_bits = max_gates * k
+    table = gs.table(m)
+    if len(table) < 2:
+        raise ValueError(f"the gate set has no gate that fits on {m} qubit(s)")
+    n_bits = max_gates * codon_bits(len(table))
+    shape = (params.pop_size, params.measurements, n_bits)
     rng = np.random.default_rng(params.seed)
     pop = init_population(params.pop_size, n_bits)
 
-    cache: dict[bytes, EvalResult] = {}
+    cache: dict[tuple, Score] = {}
     best_bits: np.ndarray | None = None     # best-ever by fitness (elitist record)
-    best_eval: EvalResult | None = None
+    best: Score | None = None
     guide_bits: np.ndarray | None = None    # rotation target, reset on restart
     guide_fitness = math.inf
     stagnant = 0
@@ -118,30 +137,37 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
 
     for gen in range(1, params.max_gen + 1):
         generations_run = gen
-        u = rng.random((params.pop_size, params.measurements, n_bits))
-        flips = rng.random((params.pop_size, params.measurements, n_bits)) < params.mutation_prob
-        prob1 = np.sin(pop) ** 2
-        member_best = np.full(params.pop_size, np.inf)
-        improved = False
-        for c in range(params.pop_size):
-            for t in range(params.measurements):
-                bits = ((u[c, t] < prob1[c]) ^ flips[c, t]).astype(np.uint8)
-                key = bits.tobytes()
-                res = cache.get(key)
-                if res is None:
-                    res = evaluate_circuit(decode(bits, m, gs), goal, params.fitness)
-                    cache[key] = res
-                if res.fitness < member_best[c]:
-                    member_best[c] = res.fitness
-                if res.fitness < guide_fitness:
-                    guide_fitness = res.fitness
-                    guide_bits = bits.copy()
-                    improved = True
-                if best_eval is None or res.fitness < best_eval.fitness:
-                    best_eval = res
-                    best_bits = bits.copy()
-        history.append((gen, best_eval.fitness, best_eval.correctness, best_eval.allcost))
-        if is_success(best_eval, params.fitness):
+        u = rng.random(shape)
+        flips = rng.random(shape) < params.mutation_prob
+        bits = ((u < (np.sin(pop) ** 2)[:, None, :]) ^ flips).astype(np.uint8).reshape(-1, n_bits)
+        indices = decode_indices(bits, len(table))
+        keys = [tuple(i for i in row if i) for row in indices.tolist()]
+        first_row: dict[tuple, int] = {}
+        for i, key in enumerate(keys):
+            first_row.setdefault(key, i)
+        scores = {key: cache.get(key) for key in first_row}
+        new = [key for key, score in scores.items() if score is None]
+        if new:
+            _, fresh = evaluate_batch(indices[[first_row[key] for key in new]],
+                                      table, goal, params.fitness)
+            if len(cache) + len(new) > CACHE_LIMIT:
+                cache.clear()
+            for key, score in zip(new, fresh):
+                scores[key] = cache[key] = score
+        fitness = np.array([scores[key].fitness for key in keys]).reshape(shape[:2])
+
+        # the first minimum in (c, t) order is where a strict-improvement scan stops
+        first = int(np.argmin(fitness))
+        top = scores[keys[first]]
+        improved = top.fitness < guide_fitness
+        if improved:
+            guide_fitness = top.fitness
+            guide_bits = bits[first].copy()
+        if best is None or top.fitness < best.fitness:
+            best = top
+            best_bits = bits[first].copy()
+        history.append((gen, best.fitness, best.correctness, best.allcost))
+        if is_success(best, params.fitness):
             generation_found = gen
             break
         stagnant = 0 if improved else stagnant + 1
@@ -152,15 +178,15 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
             stagnant = 0
             continue
         if guide_bits is not None:
-            for c in range(params.pop_size):
-                if guide_fitness < member_best[c]:
-                    pop[c] = rotate_toward(pop[c], guide_bits, params.delta_theta)
+            behind = guide_fitness < fitness.min(axis=1)
+            pop[behind] = rotate_toward(pop[behind], guide_bits, params.delta_theta)
 
+    best_circuit = decode(best_bits, m, gs)
     return RunResult(
         success=generation_found is not None,
-        best_circuit=decode(best_bits, m, gs),
+        best_circuit=best_circuit,
         best_bits=best_bits,
-        best_eval=best_eval,
+        best_eval=evaluate_circuit(best_circuit, goal, params.fitness),
         generation_found=generation_found,
         generations_run=generations_run,
         history=history,

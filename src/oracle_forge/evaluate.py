@@ -8,15 +8,21 @@ so a correct circuit below the satisfying cost scores negative, and an
 incorrect one pays `punish` per unit of error.  No clamping is applied;
 with a small `punish` a cheap wrong circuit can legitimately out-score a
 correct one (that failure mode is real, not a bug).
+
+`evaluate_circuit` scores one circuit given as placements;
+`evaluate_batch` scores a stack of circuits given as placement indices and
+gives bit-identical results, because each matrix of the stack goes through
+the same kernel operations in the same order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .gates import Placement
-from .kron_apply import StructuredOperator, apply_structured
+from .gates import PlacementTable, placement_operator
+from .kron_apply import apply_structured
 from .linalg import MulCounter, identity, is_unitary
 
 
@@ -62,18 +68,20 @@ class FitnessParams:
             raise ValueError("eps must be positive")
 
 
+class Score(NamedTuple):
+    """The scalar part of an evaluation, without lambda."""
+
+    fitness: float
+    correctness: float
+    allcost: int
+
+
 @dataclass(frozen=True, eq=False)
 class EvalResult:
     lambda_matrix: np.ndarray
     correctness: float
     allcost: int
     fitness: float
-
-
-def placement_operator(p: Placement, m: int) -> StructuredOperator:
-    """I (x) gate (x) I embedding of a non-wire placement on m qubits."""
-    below = m - p.top - p.span
-    return StructuredOperator(1 << p.top, p.matrix, 1 << below)
 
 
 def circuit_unitary(circuit, m: int, counter: MulCounter | None = None) -> np.ndarray:
@@ -110,6 +118,27 @@ def evaluate_circuit(
     return EvalResult(lam, corr, cost, fitness_value(cost, corr, params))
 
 
-def is_success(result: EvalResult, params: FitnessParams) -> bool:
+def evaluate_batch(
+    indices: np.ndarray, table: PlacementTable, goal: GoalSpec, params: FitnessParams
+) -> tuple[np.ndarray, list[Score]]:
+    """Lambda stack and scores of the circuits given as rows of placement indices.
+
+    Gate position by gate position, every placement index present in the
+    column is applied to the rows that hold it; wires (index 0) are skipped.
+    """
+    lams = np.tile(identity(goal.dim), (len(indices), 1, 1))
+    for column in indices.T:
+        for idx in np.unique(column[column != 0]):
+            rows = np.flatnonzero(column == idx)
+            lams[rows] = apply_structured(table.operators[idx], lams[rows], skip_zeros=True)
+    costs = table.costs[indices].sum(axis=1).tolist()
+    scores = []
+    for lam, cost in zip(lams, costs):
+        corr = correctness(lam, goal)
+        scores.append(Score(fitness_value(cost, corr, params), corr, cost))
+    return lams, scores
+
+
+def is_success(result: EvalResult | Score, params: FitnessParams) -> bool:
     """Correct within eps and at or below the satisfying cost."""
     return result.correctness >= 1.0 - params.eps and result.allcost <= params.satcost

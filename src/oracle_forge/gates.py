@@ -10,15 +10,20 @@ Placement index convention (fixed for reproducibility):
   1 .. n1*m           -> one-qubit gates, gate-major then qubit
   n1*m+1 .. end       -> two-qubit families, family-major then pair,
                          (down, up) within each pair
+
+`GateSet.table(m)` builds the placements on m qubits once, with their
+costs and structured operators, and keeps them for later calls; the codec,
+the evaluator, the engine and the verifier all read that one table.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kron_apply import StructuredOperator
 from .linalg import as_matrix, is_unitary
 
 WIRE = "wire"
@@ -103,10 +108,36 @@ class Placement:
         return self.matrix is None
 
 
+def placement_operator(p: Placement, m: int) -> StructuredOperator:
+    """I (x) gate (x) I embedding of a non-wire placement on m qubits."""
+    below = m - p.top - p.span
+    return StructuredOperator(1 << p.top, p.matrix, 1 << below)
+
+
+@dataclass(frozen=True, eq=False)
+class PlacementTable:
+    """Every placement on m qubits in index order, with per-index data.
+
+    `cases[i]` carries the name, top qubit and matrix of index i, `costs[i]`
+    its cost and `operators[i]` its structured operator (None for the wire,
+    index 0).  `index` maps (name, top) to the placement index; the wire is
+    keyed by top 0.
+    """
+
+    cases: tuple
+    costs: np.ndarray
+    operators: tuple
+    index: dict
+
+    def __len__(self) -> int:
+        return len(self.cases)
+
+
 @dataclass(frozen=True, eq=False)
 class GateSet:
     one_qubit: tuple
     two_qubit: tuple
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not self.one_qubit and not self.two_qubit:
@@ -117,6 +148,16 @@ class GateSet:
         for g in self.two_qubit:
             if g.arity != 2:
                 raise ValueError(f"gate {g.name!r} is not two-qubit")
+        # placements are looked up by (name, top), so every name must be unique
+        owners = {WIRE: "the quantum wire"}
+        named = [(g.name, f"one-qubit gate {g.name!r}") for g in self.one_qubit]
+        for fam in self.two_qubit:
+            named.append((fam.name, f"two-qubit family {fam.name!r}"))
+            named.append((fam.name + "2", f"the swapped orientation of family {fam.name!r}"))
+        for name, owner in named:
+            if name in owners:
+                raise ValueError(f"gate name {name!r} of {owner} is already used by {owners[name]}")
+            owners[name] = owner
 
     @property
     def n1(self) -> int:
@@ -126,26 +167,43 @@ class GateSet:
     def n2(self) -> int:
         return len(self.two_qubit)
 
-    def cases(self, m: int) -> list[Placement]:
-        """All N placements on m qubits in canonical index order."""
+    def table(self, m: int) -> PlacementTable:
+        """The placement table on m qubits, built on first use and then kept."""
+        table = self._tables.get(m)
+        if table is None:
+            table = self._tables[m] = self._build_table(m)
+        return table
+
+    def _build_table(self, m: int) -> PlacementTable:
         if m < 1:
             raise ValueError("qubit count must be at least 1")
-        out = [Placement(WIRE, 0, m, 0, None)]
+        cases = [Placement(WIRE, 0, m, 0, None)]
         for g in self.one_qubit:
             for q in range(m):
-                out.append(Placement(g.name, q, 1, g.cost, g.matrix))
+                cases.append(Placement(g.name, q, 1, g.cost, g.matrix))
         for fam in self.two_qubit:
+            flipped = flip_two_qubit(fam.matrix)
             for p in range(m - 1):
-                out.append(Placement(fam.name, p, 2, fam.cost, fam.matrix))
-                out.append(Placement(fam.name + "2", p, 2, fam.cost, flip_two_qubit(fam.matrix)))
-        return out
+                cases.append(Placement(fam.name, p, 2, fam.cost, fam.matrix))
+                cases.append(Placement(fam.name + "2", p, 2, fam.cost, flipped))
+        return PlacementTable(
+            cases=tuple(cases),
+            costs=np.array([p.cost for p in cases], dtype=np.int64),
+            operators=(None,) + tuple(placement_operator(p, m) for p in cases[1:]),
+            index={(p.name, p.top): i for i, p in enumerate(cases)},
+        )
+
+    def cases(self, m: int) -> tuple[Placement, ...]:
+        """All N placements on m qubits in canonical index order."""
+        return self.table(m).cases
 
     def placement(self, name: str, top: int, m: int) -> Placement:
         """Placement by gate name and top qubit (used when importing circuits)."""
-        for p in self.cases(m):
-            if p.name == name and (p.is_wire or p.top == top):
-                return p
-        raise ValueError(f"no gate {name!r} at qubit {top} on {m} qubits")
+        table = self.table(m)
+        i = table.index.get((name, 0 if name == WIRE else top))
+        if i is None:
+            raise ValueError(f"no gate {name!r} at qubit {top} on {m} qubits")
+        return table.cases[i]
 
 
 def case_count(m: int, gs: GateSet) -> int:
@@ -156,7 +214,7 @@ def case_count(m: int, gs: GateSet) -> int:
 
 
 def case_from_index(idx: int, m: int, gs: GateSet) -> Placement:
-    cases = gs.cases(m)
+    cases = gs.table(m).cases
     if not 0 <= idx < len(cases):
         raise ValueError(f"case index {idx} out of range [0, {len(cases)})")
     return cases[idx]

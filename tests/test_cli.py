@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,3 +179,61 @@ def test_circuit_json_round_trips_through_verify(tmp_path, capsys):
     assert code == 0
     corr_verify = [l for l in out.splitlines() if l.startswith("correctness")][0]
     assert corr_synth == corr_verify
+
+
+GOLDEN = Path(__file__).parent / "data" / "criterion9"
+
+
+def test_criterion_9_config_matches_pinned_outputs(tmp_path, capsys):
+    # circuit.json and generations.csv of this run, recorded before the
+    # generation-at-once evaluator replaced the per-candidate loop
+    code, _, _ = run(capsys, "synth", "--goal", "entangle2", "--satcost", "6", "--g", "6",
+                     "--punish", "20", "--seed", "13", "--out-dir", str(tmp_path))
+    assert code == 0
+    for name in ("circuit.json", "generations.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["synth", "experiment"])
+@pytest.mark.parametrize("g", ["0", "-3"])
+def test_gate_budget_below_one_exits_1(tmp_path, capsys, command, g):
+    extra = ("--runs", "2") if command == "experiment" else ()
+    code, _, err = run(capsys, command, "--goal", "entangle2", "--g", g, *extra,
+                       "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "gate budget must be at least 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_sweep_keeps_every_other_setting(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from oracle_forge import cli
+    from oracle_forge.engine import BatchStats
+
+    seen = []
+    resolve = cli._resolve_params
+
+    def custom_params(*args):
+        params, g = resolve(*args)
+        return replace(params, delta_theta=0.07, mutation_prob=0.2, restart_after=3), g
+
+    def fake_batch(goal, gs, g, params, n_runs):
+        seen.append(params)
+        return BatchStats(runs=n_runs, st=0, as_mean=0.0, ot=None, results=[])
+
+    monkeypatch.setattr(cli, "_resolve_params", custom_params)
+    monkeypatch.setattr(cli, "run_batch", fake_batch)
+    code, _, _ = run(capsys, "experiment", "--goal", "entangle2", "--runs", "1",
+                     "--punish-sweep", "1", "5")
+    assert code == 0
+    assert [p.fitness.punish for p in seen] == [1.0, 5.0]
+    for p in seen:
+        assert (p.delta_theta, p.mutation_prob, p.restart_after) == (0.07, 0.2, 3)
+
+
+def test_brute_has_no_config_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["brute", "--goal", "entangle2", "--max-gates", "1", "--config", "x.json"])
+    assert exc.value.code == 2
+    capsys.readouterr()

@@ -156,3 +156,19 @@ def test_history_csv_format(gs):
     assert len(lines) == len(result.history) + 1
     first = lines[1].split(",")
     assert first[0] == "1" and len(first) == 4
+
+
+@pytest.mark.parametrize("g", [0, -1])
+def test_gate_budget_must_be_positive(gs, g):
+    with pytest.raises(ValueError, match="gate budget must be at least 1"):
+        evolve(builtin("entangle2"), gs, g, small_params())
+    with pytest.raises(ValueError, match="gate budget must be at least 1"):
+        run_batch(builtin("entangle2"), gs, g, small_params(), 2)
+
+
+def test_gate_set_without_placements_on_the_goal_is_rejected():
+    from oracle_forge.gates import CNOT_MATRIX, Gate, GateSet
+
+    two_only = GateSet(one_qubit=(), two_qubit=(Gate("CNOT", CNOT_MATRIX, 2),))
+    with pytest.raises(ValueError, match="no gate that fits on 1 qubit"):
+        evolve(GoalSpec(1, identity(2)), two_only, 3, small_params())

@@ -131,3 +131,52 @@ def test_two_qubit_orientations_both_enumerated(gs):
     cases = gs.cases(3)
     names = [(p.name, p.top) for p in cases if p.span == 2]
     assert names == [("CNOT", 0), ("CNOT2", 0), ("CNOT", 1), ("CNOT2", 1)]
+
+
+def _gate_file(tmp_path, *entries):
+    x1 = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    swap = [[[1 if (r, c) in ((0, 0), (1, 2), (2, 1), (3, 3)) else 0, 0] for c in range(4)]
+            for r in range(4)]
+    path = tmp_path / "gates.json"
+    path.write_text(json.dumps([{"name": name, "arity": arity, "cost": 1,
+                                 "matrix": x1 if arity == 1 else swap}
+                                for name, arity in entries]))
+    return path
+
+
+@pytest.mark.parametrize("entries,clash", [
+    ((("X2", 1), ("X", 2)), "'X2'"),    # one-qubit X2 vs the flipped orientation of family X
+    ((("X", 2), ("X2", 1)), "'X2'"),
+    ((("H", 1),), "'H'"),               # duplicate of a built-in one-qubit gate
+    ((("CNOT", 2),), "'CNOT'"),         # duplicate family
+    ((("CNOT2", 1),), "'CNOT2'"),       # the built-in family's flipped name
+    ((("wire", 1),), "'wire'"),         # reserved for the no-op placement
+])
+def test_extend_gate_set_rejects_name_clashes(tmp_path, gs, entries, clash):
+    with pytest.raises(ValueError, match=clash):
+        extend_gate_set(gs, _gate_file(tmp_path, *entries))
+
+
+def test_placements_are_unique_by_name_and_top(tmp_path, gs):
+    ext = extend_gate_set(gs, _gate_file(tmp_path, ("X", 1), ("W", 2)))
+    table = ext.table(3)
+    assert len(table.index) == len(table) == case_count(3, ext)
+    for i, p in enumerate(table.cases):
+        assert ext.placement(p.name, p.top, 3) is p
+        assert table.index[(p.name, p.top)] == i
+
+
+def test_placement_table_is_built_once_per_qubit_count(gs):
+    assert gs.table(3) is gs.table(3)
+    assert gs.cases(3) is gs.table(3).cases
+    assert gs.table(2) is not gs.table(3)
+    table = gs.table(3)
+    assert table.operators[0] is None and table.costs[0] == 0
+    assert list(table.costs) == [p.cost for p in table.cases]
+    for p, op in zip(table.cases[1:], table.operators[1:]):
+        assert op.m == 1 << p.top and op.k == 1 << (3 - p.top - p.span)
+        assert np.array_equal(op.gate, p.matrix)
+
+
+def test_default_gate_set_builds_no_table():
+    assert default_gate_set()._tables == {}
