@@ -23,7 +23,7 @@ import numpy as np
 
 from .gates import PlacementTable, placement_operator
 from .kron_apply import apply_structured
-from .linalg import MulCounter, identity, is_unitary
+from .linalg import MulCounter, identity, require_unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +41,7 @@ class GoalSpec:
             raise ValueError(
                 f"goal on {self.num_qubits} qubits must be {dim}x{dim}, got {self.matrix.shape}"
             )
-        if not is_unitary(self.matrix, 1e-10):
-            dev = np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim)).max()
-            raise ValueError(f"goal matrix is not unitary (max deviation {dev:.3e})")
+        require_unitary(self.matrix, "goal matrix")
 
     @property
     def dim(self) -> int:

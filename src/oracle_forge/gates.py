@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kron_apply import StructuredOperator
-from .linalg import as_matrix, is_unitary
+from .linalg import as_matrix, require_unitary
 
 WIRE = "wire"
 
@@ -81,9 +81,7 @@ class Gate:
         m = as_matrix(self.matrix)
         if m.shape[0] not in (2, 4):
             raise ValueError(f"gate {self.name!r}: only 2x2 or 4x4 matrices are supported")
-        if not is_unitary(m, 1e-10):
-            dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-            raise ValueError(f"gate {self.name!r} is not unitary (max deviation {dev:.3e})")
+        require_unitary(m, f"gate {self.name!r}")
         if self.cost < 0:
             raise ValueError(f"gate {self.name!r}: cost must be non-negative")
         object.__setattr__(self, "matrix", m)

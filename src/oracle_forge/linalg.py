@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_MAX_DIM = 1 << 10
+# the one tolerance every gate and goal matrix is checked against
+UNITARY_TOL = 1e-10
 
 
 class MulCounter:
@@ -75,10 +77,21 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
+def unitarity_deviation(a: np.ndarray) -> float:
+    """Max entrywise |a^dag a - I|."""
+    return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
+
+
+def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     """True iff max entrywise |a^dag a - I| <= tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = a.shape[0]
-    dev = np.abs(a.conj().T @ a - np.eye(n))
-    return bool(dev.max() <= tol)
+    return unitarity_deviation(a) <= tol
+
+
+def require_unitary(a: np.ndarray, what: str) -> None:
+    """Reject a matrix that is not unitary within UNITARY_TOL; `what` names it."""
+    dev = unitarity_deviation(a)
+    if not dev <= UNITARY_TOL:  # also rejects NaN
+        raise ValueError(f"{what} is not unitary: max |U^dag U - I| = {dev:.3e}, "
+                         f"over the tolerance {UNITARY_TOL:g}")

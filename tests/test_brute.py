@@ -1,8 +1,16 @@
-import pytest
+"""The exhaustive verifier, and its blocked search against the plain recursive DFS."""
+import json
+import math
 
-from oracle_forge.brute import min_cost_search, node_count
-from oracle_forge.evaluate import GoalSpec
-from oracle_forge.gates import default_gate_set
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracle_forge.brute import BLOCK_BYTES, block_depth, min_cost_search, node_count
+from oracle_forge.cli import main as cli_main
+from oracle_forge.evaluate import GoalSpec, circuit_unitary, correctness
+from oracle_forge.gates import default_gate_set, extend_gate_set
+from oracle_forge.kron_apply import apply_structured
 from oracle_forge.linalg import identity
 from oracle_forge.targets import builtin
 
@@ -81,3 +89,124 @@ def test_ea_never_beats_brute_force(gs):
     brute = min_cost_search(goal, 3, gs)
     assert result.success
     assert result.best_eval.allcost >= brute.min_cost
+
+
+def test_controlled_s_min_cost_is_ten(gs):
+    # every circuit of cost <= 9 has at most 9 gates, so this settles the optimum
+    goal = builtin("controlled_s")
+    report = min_cost_search(goal, 9, gs, budget=2 * 10 ** 8)
+    assert report.min_cost == 10 == goal.optimal_cost
+    assert len(report.witness) <= 9
+    assert sum(p.cost for p in report.witness) == 10
+    assert correctness(circuit_unitary(report.witness, 2), goal) >= 1 - 1e-6
+
+
+def test_negative_gate_budget_rejected(gs):
+    with pytest.raises(ValueError, match="gate budget must be non-negative"):
+        min_cost_search(builtin("entangle2"), -1, gs)
+
+
+def test_negative_gate_budget_cli(capsys):
+    code = cli_main(["brute", "--goal", "entangle2", "--max-gates", "-1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.strip().splitlines() == ["error: the gate budget must be non-negative, got -1"]
+
+
+def test_zero_gate_budget_examines_the_root_only(gs):
+    report = min_cost_search(builtin("entangle2"), 0, gs)
+    assert report.min_cost is None and report.circuits_examined == 1
+    report = min_cost_search(GoalSpec(2, identity(4)), 0, gs)
+    assert report.min_cost == 0 and report.witness == [] and report.circuits_examined == 1
+
+
+def test_block_depth_fits_the_block_memory():
+    # default gate set: 8 placements on 2 qubits, 13 on 3
+    assert block_depth(8, 4, 100) == 3
+    assert block_depth(13, 8, 100) == 2
+    assert block_depth(8, 4, 2) == 2  # capped at the gate budget
+    assert block_depth(0, 2, 100) == 0
+    for n, dim in ((3, 2), (8, 4), (13, 8), (20, 8)):
+        depth = block_depth(n, dim, 100)
+        assert node_count(n, depth) - 1 <= BLOCK_BYTES // (16 * dim * dim) < node_count(n, depth + 1) - 1
+
+
+def reference_search(goal, max_gates, gs, eps=1e-6, prune=True):
+    """The verifier as a plain recursive DFS: one structured product per node."""
+    table = gs.table(goal.num_qubits)
+    ops = list(zip(table.cases[1:], table.operators[1:]))
+    goal_conj = goal.matrix.conj()
+    dim = goal.dim
+    threshold = 1.0 - eps
+    best_cost, witness, examined = None, None, 0
+
+    def visit(u, cost, seq, depth):
+        nonlocal best_cost, witness, examined
+        examined += 1
+        corr = abs(np.sum(goal_conj * u)) / dim
+        if corr >= threshold and (best_cost is None or cost < best_cost):
+            best_cost = cost
+            witness = list(seq)
+        if depth == max_gates:
+            return
+        for p, op in ops:
+            if prune and best_cost is not None and cost + p.cost >= best_cost:
+                continue
+            seq.append(p)
+            visit(apply_structured(op, u, skip_zeros=True), cost + p.cost, seq, depth + 1)
+            seq.pop()
+
+    visit(identity(dim), 0, [], 0)
+    return best_cost, witness, examined
+
+
+def random_unitary(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.fixture(scope="module")
+def gate_sets(tmp_path_factory):
+    """The default gate set and one extended by dense user gates, one of cost 0."""
+    rng = np.random.default_rng(11)
+    entries = [{"name": name, "arity": arity, "cost": cost,
+                "matrix": [[[z.real, z.imag] for z in row]
+                           for row in random_unitary(rng, 1 << arity)]}
+               for name, arity, cost in (("U", 1, 0), ("V", 2, 3))]
+    path = tmp_path_factory.mktemp("gates") / "dense.json"
+    path.write_text(json.dumps(entries))
+    base = default_gate_set()
+    return base, extend_gate_set(base, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), extended=st.booleans(), m=st.integers(1, 3),
+       depth=st.sampled_from(["zero", "one", "block", "deeper"]), prune=st.booleans(),
+       reachable=st.booleans(), eps=st.sampled_from([1e-6, 0.05, 0.4]))
+def test_blocked_search_matches_recursive_dfs(gate_sets, data, extended, m, depth, prune,
+                                              reachable, eps):
+    # The block sums each trace in another order than the reference, so only a
+    # correctness within rounding of 1 - eps could be decided differently; these
+    # goals put none there.
+    gs = gate_sets[extended]
+    table = gs.table(m)
+    n_gates = len(table) - 1
+    block = block_depth(n_gates, 1 << m, 100)
+    max_gates = {"zero": 0, "one": 1, "block": block, "deeper": block + 1}[depth]
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if reachable:
+        length = data.draw(st.integers(0, 4))
+        circuit = [table.cases[i] for i in rng.integers(1, len(table), length)]
+        matrix = circuit_unitary(circuit, m) * np.exp(2j * math.pi * rng.random())
+    else:
+        matrix = random_unitary(rng, 1 << m)
+    goal = GoalSpec(m, matrix)
+    report = min_cost_search(goal, max_gates, gs, eps=eps, prune=prune)
+    best_cost, witness, examined = reference_search(goal, max_gates, gs, eps=eps, prune=prune)
+    assert report.min_cost == best_cost
+    assert (report.witness is None) == (witness is None)
+    if witness is not None:
+        assert [(p.name, p.top) for p in report.witness] == [(p.name, p.top) for p in witness]
+    assert report.circuits_examined == examined

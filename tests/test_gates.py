@@ -102,6 +102,10 @@ def test_empty_gate_set_rejected():
 def test_gate_unitarity_enforced():
     with pytest.raises(ValueError):
         Gate("bad", np.diag([1, 2]).astype(complex), 1)
+    # the same check and message as for goal matrices
+    with pytest.raises(ValueError, match=r"^gate 'near' is not unitary: max \|U\^dag U - I\| = "
+                                         r"4\.000e-09, over the tolerance 1e-10$"):
+        Gate("near", np.diag([1 + 2e-9, 1]).astype(complex), 1)
 
 
 def test_extend_gate_set(tmp_path, gs):

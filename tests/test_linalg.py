@@ -9,6 +9,7 @@ from oracle_forge.linalg import (
     is_unitary,
     kron,
     mat_mul_naive,
+    require_unitary,
     trace,
 )
 
@@ -113,6 +114,14 @@ def test_is_unitary():
     assert not is_unitary(np.diag([1, 2]).astype(complex), 1e-10)
     with pytest.raises(ValueError):
         is_unitary(identity(2), 0.0)
+
+
+def test_require_unitary_names_the_matrix():
+    require_unitary(identity(4), "goal matrix")
+    with pytest.raises(ValueError, match="^X is not unitary"):
+        require_unitary(np.diag([1, 2]).astype(complex), "X")
+    with pytest.raises(ValueError, match="^X is not unitary"):
+        require_unitary(np.diag([1, np.nan]).astype(complex), "X")
 
 
 def test_trace_cyclic_property():

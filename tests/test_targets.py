@@ -76,6 +76,16 @@ def test_load_rejects_non_unitary(tmp_path):
         load_goal(path)
 
 
+def test_goal_file_off_by_2e9_gets_the_unified_error(tmp_path):
+    # within the old 1e-8 file tolerance, but not the 1e-10 every matrix is held to
+    path = tmp_path / "near.json"
+    path.write_text('{"qubits": 1, "matrix": [[[1.000000002,0],[0,0]],[[0,0],[1,0]]]}')
+    with pytest.raises(ValueError) as err:
+        load_goal(path)
+    assert str(err.value) == ("goal matrix is not unitary: max |U^dag U - I| = 4.000e-09, "
+                              "over the tolerance 1e-10")
+
+
 def test_load_rejects_wrong_dimension(tmp_path):
     path = tmp_path / "bad.json"
     rows = [[[1, 0], [0, 0], [0, 0]],
