@@ -45,7 +45,6 @@ from .gates import (
     default_gate_set,
     extend_gate_set,
     gate_matrix,
-    placement_cost,
 )
 from .kron_apply import (
     StructuredOperator,
@@ -53,7 +52,7 @@ from .kron_apply import (
     embed_dense,
     speedup_predicted,
 )
-from .linalg import MulCounter, adjoint, is_unitary, kron, mat_mul_naive, trace
+from .linalg import MulCounter, is_unitary, kron, mat_mul_naive
 from .targets import BUILTIN_NAMES, builtin, load_goal, save_goal
 
 __version__ = "0.1.0"

@@ -161,6 +161,8 @@ def min_cost_search(
 ) -> SearchReport:
     if max_gates < 0:
         raise ValueError(f"the gate budget must be non-negative, got {max_gates}")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     table = gs.table(goal.num_qubits)
     placements = table.cases[1:]  # index 0 is the wire
     operators = table.operators[1:]

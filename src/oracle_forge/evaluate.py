@@ -9,10 +9,11 @@ incorrect one pays `punish` per unit of error.  No clamping is applied;
 with a small `punish` a cheap wrong circuit can legitimately out-score a
 correct one (that failure mode is real, not a bug).
 
-`evaluate_circuit` scores one circuit given as placements;
-`evaluate_batch` scores a stack of circuits given as placement indices and
-gives bit-identical results, because each matrix of the stack goes through
-the same kernel operations in the same order.
+`evaluate_circuit` scores one circuit given as placements with the
+structured kernel; `evaluate_batch` scores a stack of circuits given as
+placement indices with the row-sparse placement table and gives
+bit-identical results, because each matrix entry is summed from the same
+terms in the same order.
 """
 from __future__ import annotations
 
@@ -24,6 +25,10 @@ import numpy as np
 from .gates import PlacementTable, placement_operator
 from .kron_apply import apply_structured
 from .linalg import MulCounter, identity, require_unitary
+
+# working-set budget of evaluate_batch: its rows are scored this many bytes
+# of lambda matrices at a time
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,19 +126,42 @@ def evaluate_batch(
 ) -> tuple[np.ndarray, list[Score]]:
     """Lambda stack and scores of the circuits given as rows of placement indices.
 
-    Gate position by gate position, every placement index present in the
-    column is applied to the rows that hold it; wires (index 0) are skipped.
+    The rows are taken CHUNK_BYTES of matrices at a time, so a chunk's stack
+    stays in cache while every gate position is applied to it.  A position
+    is one row-sparse product (see `PlacementTable`): term t of every output
+    row is its weight times the input row it reads, one gather per term over
+    the whole chunk.  Positions where every row holds the wire are skipped.
+    The terms come in the structured kernel's order, so each matrix equals
+    `evaluate_circuit`'s bit for bit (only the sign of an exact zero can
+    differ, and no score sees it).
     """
-    lams = np.tile(identity(goal.dim), (len(indices), 1, 1))
-    for column in indices.T:
-        for idx in np.unique(column[column != 0]):
-            rows = np.flatnonzero(column == idx)
-            lams[rows] = apply_structured(table.operators[idx], lams[rows], skip_zeros=True)
+    dim = goal.dim
+    chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
+    lams = np.empty((len(indices), dim, dim), dtype=complex)
     costs = table.costs[indices].sum(axis=1).tolist()
     scores = []
-    for lam, cost in zip(lams, costs):
-        corr = correctness(lam, goal)
-        scores.append(Score(fitness_value(cost, corr, params), corr, cost))
+    for start in range(0, len(indices), chunk):
+        rows = indices[start:start + chunk]
+        lam = np.tile(identity(dim), (len(rows), 1, 1))
+        gates = rows[:, rows.any(axis=0)].T  # the positions with a gate in some row
+        # (position, row of the chunk, output row, term): the flat input row read
+        first = np.arange(0, len(rows) * dim, dim)[:, None, None]  # flat row 0 of each matrix
+        reads = np.take(table.cols, gates, axis=0) + first
+        weights = np.take(table.vals, gates, axis=0)
+        for read, weight, terms in zip(reads, weights, table.width[gates].max(axis=1).tolist()):
+            flat = lam.reshape(-1, dim)
+            # weight first: numpy's complex product is not bitwise commutative,
+            # and the kernel multiplies gate entry times block
+            lam = np.take(flat, read[..., 0], axis=0)
+            np.multiply(weight[..., 0, None], lam, out=lam)
+            for t in range(1, terms):
+                part = np.take(flat, read[..., t], axis=0)
+                np.multiply(weight[..., t, None], part, out=part)
+                lam += part
+        lams[start:start + len(rows)] = lam
+        for one, cost in zip(lam, costs[start:start + len(rows)]):
+            corr = correctness(one, goal)
+            scores.append(Score(fitness_value(cost, corr, params), corr, cost))
     return lams, scores
 
 

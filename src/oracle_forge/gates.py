@@ -12,8 +12,9 @@ Placement index convention (fixed for reproducibility):
                          (down, up) within each pair
 
 `GateSet.table(m)` builds the placements on m qubits once, with their
-costs and structured operators, and keeps them for later calls; the codec,
-the evaluator, the engine and the verifier all read that one table.
+costs, structured operators and row-sparse form, and keeps them for later
+calls; the codec, the evaluators, the engine and the verifier all read that
+one table.
 """
 from __future__ import annotations
 
@@ -120,15 +121,54 @@ class PlacementTable:
     its cost and `operators[i]` its structured operator (None for the wire,
     index 0).  `index` maps (name, top) to the placement index; the wire is
     keyed by top 0.
+
+    The row-sparse form gives row r of the embedded 2^m x 2^m matrix of
+    index i as `width[i]` terms: it reads the rows `cols[i, r, :]` in
+    increasing order with the weights `vals[i, r, :]`.  The terms past a
+    row's nonzeros, up to the table's widest row, have weight 0 on row 0.
+    The wire is the identity: one term of weight 1 per row.
     """
 
     cases: tuple
     costs: np.ndarray
     operators: tuple
     index: dict
+    cols: np.ndarray
+    vals: np.ndarray
+    width: np.ndarray
 
     def __len__(self) -> int:
         return len(self.cases)
+
+
+def _row_sparse(cases, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`cols[N, d, w]`, `vals[N, d, w]` and `width[N]` of the placements on m qubits."""
+    d = 1 << m
+    rows = np.arange(d)
+    gates = cases[1:]
+    mats = np.zeros((len(gates), 4, 4), dtype=complex)  # each gate matrix, zero-padded
+    for mat, p in zip(mats, gates):
+        mat[:len(p.matrix), :len(p.matrix)] = p.matrix
+    nonzero = mats != 0
+    width = np.concatenate(([1], np.count_nonzero(nonzero, axis=2).max(axis=1, initial=0)))
+    w = int(width.max())
+    # each gate row's nonzero columns first, in increasing order
+    order = np.argsort(~nonzero, axis=2, kind="stable")[..., :w]
+    keep = np.take_along_axis(nonzero, order, axis=2)
+    entry = np.where(keep, np.take_along_axis(mats, order, axis=2), 0)
+    below = np.array([m - p.top - p.span for p in gates], dtype=np.intp)[:, None]
+    size = np.array([len(p.matrix) for p in gates], dtype=np.intp)[:, None]
+    gate_row = (rows >> below) & (size - 1)  # the gate row that row r of I (x) A (x) I uses
+    base = rows - (gate_row << below)  # row r with the gate's bits cleared
+    pick = np.arange(len(gates))[:, None]
+    cols = np.zeros((len(cases), d, w), dtype=np.intp)
+    vals = np.zeros((len(cases), d, w), dtype=complex)
+    cols[0, :, 0] = rows
+    vals[0, :, 0] = 1
+    cols[1:] = np.where(keep[pick, gate_row],
+                        base[..., None] + (order[pick, gate_row] << below[..., None]), 0)
+    vals[1:] = entry[pick, gate_row]
+    return cols, vals, width
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,11 +224,15 @@ class GateSet:
             for p in range(m - 1):
                 cases.append(Placement(fam.name, p, 2, fam.cost, fam.matrix))
                 cases.append(Placement(fam.name + "2", p, 2, fam.cost, flipped))
+        cols, vals, width = _row_sparse(cases, m)
         return PlacementTable(
             cases=tuple(cases),
             costs=np.array([p.cost for p in cases], dtype=np.int64),
             operators=(None,) + tuple(placement_operator(p, m) for p in cases[1:]),
             index={(p.name, p.top): i for i, p in enumerate(cases)},
+            cols=cols,
+            vals=vals,
+            width=width,
         )
 
     def cases(self, m: int) -> tuple[Placement, ...]:
@@ -216,10 +260,6 @@ def case_from_index(idx: int, m: int, gs: GateSet) -> Placement:
     if not 0 <= idx < len(cases):
         raise ValueError(f"case index {idx} out of range [0, {len(cases)})")
     return cases[idx]
-
-
-def placement_cost(p: Placement) -> int:
-    return p.cost
 
 
 def default_gate_set(cost_model: CostModel = CostModel()) -> GateSet:

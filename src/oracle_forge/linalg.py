@@ -63,16 +63,6 @@ def kron(a: np.ndarray, b: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.nda
     return np.kron(a, b)
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T.copy()
-
-
-def trace(a: np.ndarray) -> complex:
-    """Sum of diagonal entries."""
-    return complex(np.trace(a))
-
-
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 

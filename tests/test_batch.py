@@ -1,28 +1,34 @@
 """The batched generation path against the scalar one it replaces.
 
-`evaluate_batch` must agree bit for bit with `evaluate_circuit`, and
-`evolve` must reproduce a plain per-candidate loop (decode one bit string,
-evaluate it, cache it by its bytes, scan in (member, measurement) order).
+`evaluate_batch` must agree bit for bit with `evaluate_circuit` and with
+a per-placement loop over the structured kernel, and `evolve` must
+reproduce a plain per-candidate loop (decode one bit string, evaluate it,
+cache it by its bytes, scan in (member, measurement) order).
 """
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_forge import engine
+from oracle_forge import engine, evaluate
 from oracle_forge.codec import codon_bits, decode, decode_indices
 from oracle_forge.engine import HqeaParams, evolve, init_population, rotate_toward
 from oracle_forge.evaluate import (
     FitnessParams,
     GoalSpec,
+    Score,
+    correctness,
     evaluate_batch,
     evaluate_circuit,
+    fitness_value,
     is_success,
 )
 from oracle_forge.gates import default_gate_set, extend_gate_set
-from oracle_forge.kron_apply import StructuredOperator, apply_structured
+from oracle_forge.kron_apply import StructuredOperator, apply_structured, embed_dense
+from oracle_forge.linalg import identity
 from oracle_forge.targets import builtin
 
 
@@ -49,7 +55,7 @@ def gate_sets(tmp_path_factory):
     return base, ext
 
 
-GOALS = {m: GoalSpec(m, random_unitary(np.random.default_rng(m), 1 << m)) for m in range(1, 5)}
+GOALS = {m: GoalSpec(m, random_unitary(np.random.default_rng(m), 1 << m)) for m in range(1, 7)}
 FP = FitnessParams(satcost=4, award=1.0, punish=20.0)
 
 
@@ -69,6 +75,67 @@ def test_batch_matches_scalar_evaluator(gate_sets, data, extended, m, g):
         assert score.correctness == ref.correctness
         assert score.allcost == ref.allcost and type(score.allcost) is int
         assert score.fitness == ref.fitness
+
+
+def per_placement_batch(indices, table, goal, params):
+    """The evaluator the row-sparse one replaced: per gate position, each
+    placement present is applied with the structured kernel to its rows."""
+    lams = np.tile(identity(goal.dim), (len(indices), 1, 1))
+    for column in indices.T:
+        for idx in np.unique(column[column != 0]):
+            rows = np.flatnonzero(column == idx)
+            lams[rows] = apply_structured(table.operators[idx], lams[rows], skip_zeros=True)
+    costs = table.costs[indices].sum(axis=1).tolist()
+    scores = []
+    for lam, cost in zip(lams, costs):
+        corr = correctness(lam, goal)
+        scores.append(Score(fitness_value(cost, corr, params), corr, cost))
+    return lams, scores
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), extended=st.booleans(), m=st.integers(1, 6), g=st.integers(1, 8),
+       chunk=st.sampled_from([1, 2, 3, None]), wire_column=st.booleans())
+def test_batch_matches_per_placement_loop(gate_sets, data, extended, m, g, chunk, wire_column):
+    gs = gate_sets[extended]
+    table = gs.table(m)
+    # chunk matrices per chunk (None: the module's budget); batch sizes on
+    # both sides of a chunk boundary
+    size = data.draw(st.integers(1, 2 * (chunk or 2) + 1))
+    row = st.lists(st.integers(0, len(table) - 1), min_size=g, max_size=g)
+    rows = np.array(data.draw(st.lists(row, min_size=size, max_size=size)))
+    if wire_column:
+        rows[:, data.draw(st.integers(0, g - 1))] = 0
+    rows = np.vstack([rows, np.zeros((1, g), dtype=rows.dtype)])  # an all-wire row
+    budget = evaluate.CHUNK_BYTES if chunk is None else chunk * 16 * (1 << 2 * m)
+    with mock.patch.object(evaluate, "CHUNK_BYTES", budget):
+        lams, scores = evaluate_batch(rows, table, GOALS[m], FP)
+    ref_lams, ref_scores = per_placement_batch(rows, table, GOALS[m], FP)
+    assert np.array_equal(lams, ref_lams)
+    assert scores == ref_scores
+    assert np.array_equal(lams[-1], identity(1 << m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+def test_row_sparse_table_rebuilds_each_placement(gate_sets, m):
+    for gs in gate_sets:
+        table = gs.table(m)
+        dim = 1 << m
+        n, w = len(table), table.cols.shape[-1]
+        assert table.cols.shape == table.vals.shape == (n, dim, w)
+        assert table.width.shape == (n,) and table.width[0] == 1
+        for i in range(n):
+            cols, vals = table.cols[i], table.vals[i]
+            dense = np.zeros((dim, dim), dtype=complex)
+            np.add.at(dense, (np.arange(dim)[:, None], cols), vals)
+            ref = identity(dim) if i == 0 else embed_dense(table.operators[i])
+            assert np.array_equal(dense, ref)
+            terms = vals != 0
+            # nonzeros first, in increasing column order, then weight 0 on row 0
+            assert terms.sum(axis=1).max() == table.width[i]
+            assert not (~terms[:, :-1] & terms[:, 1:]).any()
+            assert np.all(np.where(terms[:, 1:], np.diff(cols, axis=1) > 0, True))
+            assert not cols[~terms].any()
 
 
 @settings(max_examples=40, deadline=None)

@@ -113,6 +113,20 @@ def test_negative_gate_budget_cli(capsys):
     assert err.strip().splitlines() == ["error: the gate budget must be non-negative, got -1"]
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-6, float("nan")])
+def test_non_positive_eps_rejected(gs, eps):
+    # eps = 0 would silently miss exact matches whose correctness rounds below 1
+    with pytest.raises(ValueError, match="^eps must be positive$"):
+        min_cost_search(builtin("entangle2"), 3, gs, eps=eps)
+
+
+def test_non_positive_eps_cli(capsys):
+    code = cli_main(["brute", "--goal", "entangle2", "--max-gates", "3", "--eps", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: eps must be positive"]
+
+
 def test_zero_gate_budget_examines_the_root_only(gs):
     report = min_cost_search(builtin("entangle2"), 0, gs)
     assert report.min_cost is None and report.circuits_examined == 1

@@ -17,7 +17,6 @@ from oracle_forge.gates import (
     default_gate_set,
     extend_gate_set,
     gate_matrix,
-    placement_cost,
 )
 from oracle_forge.linalg import identity, is_unitary, kron
 
@@ -83,9 +82,9 @@ def test_all_gate_matrices_unitary():
 
 def test_placement_costs(gs):
     cases = gs.cases(2)
-    assert placement_cost(cases[0]) == 0          # wire
-    assert placement_cost(gs.placement("H", 1, 2)) == 1
-    assert placement_cost(gs.placement("CNOT", 0, 2)) == 2
+    assert cases[0].cost == 0          # wire
+    assert gs.placement("H", 1, 2).cost == 1
+    assert gs.placement("CNOT", 0, 2).cost == 2
 
 
 def test_cost_model_configurable():

@@ -3,14 +3,12 @@ import pytest
 
 from oracle_forge.linalg import (
     MulCounter,
-    adjoint,
     as_matrix,
     identity,
     is_unitary,
     kron,
     mat_mul_naive,
     require_unitary,
-    trace,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -88,27 +86,6 @@ def test_kron_dimension_guard():
         kron(identity(64), identity(64), max_dim=1024)
 
 
-def test_adjoint():
-    assert np.array_equal(adjoint(identity(2)), identity(2))
-    assert np.array_equal(adjoint(np.diag([1, 1j]).astype(complex)), np.diag([1, -1j]))
-    rng = np.random.default_rng(7)
-    m = random_matrix(rng, 5)
-    assert np.array_equal(adjoint(adjoint(m)), m)
-
-
-def test_trace():
-    assert trace(identity(4)) == 4 + 0j
-    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    assert trace(cnot) == 2 + 0j
-
-
-def test_trace_entangle2_goal():
-    # CNOT x (H (x) I) summed along the diagonal gives sqrt(2)
-    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    goal = cnot @ np.kron(H, identity(2))
-    assert abs(trace(goal) - np.sqrt(2)) <= 1e-12
-
-
 def test_is_unitary():
     assert is_unitary(identity(8), 1e-10)
     assert not is_unitary(np.diag([1, 2]).astype(complex), 1e-10)
@@ -122,13 +99,6 @@ def test_require_unitary_names_the_matrix():
         require_unitary(np.diag([1, 2]).astype(complex), "X")
     with pytest.raises(ValueError, match="^X is not unitary"):
         require_unitary(np.diag([1, np.nan]).astype(complex), "X")
-
-
-def test_trace_cyclic_property():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a, b = random_matrix(rng, 6), random_matrix(rng, 6)
-        assert abs(trace(a @ b) - trace(b @ a)) <= 1e-10
 
 
 def test_kron_associative():
