@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import targets
 from .brute import min_cost_search
@@ -25,18 +25,22 @@ from .evaluate import FitnessParams, evaluate_circuit, is_success
 from .gates import default_gate_set, extend_gate_set
 from .kron_apply import BENCH_CSV_HEADER, benchmark_sweep
 
+# the settings only the CLI has; the others default to the field of
+# FitnessParams or HqeaParams they fill, named in PARAM_FIELDS
 DEFAULTS = {
     "satcost": None,  # falls back to the goal's optimal cost, else 0
     "g": 8,
-    "award": 1.0,
-    "punish": 20.0,
-    "eps": 1e-6,
-    "max_gen": 100,
-    "pop": 20,
-    "measurements": 10,
-    "seed": 0,
     "runs": 20,
     "out_dir": ".",
+}
+PARAM_FIELDS = {
+    "award": "award",
+    "punish": "punish",
+    "eps": "eps",
+    "max_gen": "max_gen",
+    "pop": "pop_size",
+    "measurements": "measurements",
+    "seed": "seed",
 }
 
 
@@ -112,6 +116,9 @@ def _setting(args, config: dict, key: str):
         return val
     if key in config:
         return config[key]
+    if key in PARAM_FIELDS:
+        defaults = {f.name: f.default for cls in (FitnessParams, HqeaParams) for f in fields(cls)}
+        return defaults[PARAM_FIELDS[key]]
     return DEFAULTS.get(key)
 
 

@@ -17,9 +17,10 @@ kept); this catastrophe step stops the whole population from idling in an
 exhausted attractor.
 
 A generation is scored as one batch: all pop x measurements bit strings
-are decoded at once, circuits are keyed by their non-wire placement
-indices (wires change neither lambda nor cost), and only the circuits not
-already in the run's cache are evaluated, as one stack.
+are decoded at once, circuits are keyed by the bytes of their placement
+indices with the wires moved to the end (wires change neither lambda nor
+cost), and only the circuits not already in the run's cache are
+evaluated, in one `evaluate_batch` call that returns score arrays.
 """
 from __future__ import annotations
 
@@ -112,6 +113,18 @@ def rotate_toward(theta: np.ndarray, bits: np.ndarray, delta: float) -> np.ndarr
     return np.clip(theta + step, THETA_MIN, THETA_MAX)
 
 
+def wire_compacted(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of placement indices with their wires moved to the end, and
+    each such row's bytes as one key.
+
+    Wires change neither lambda nor cost, so two rows are the same circuit
+    exactly when their keys are equal.
+    """
+    order = np.argsort(indices == 0, axis=1, kind="stable")
+    compact = np.take_along_axis(indices, order, axis=1)
+    return compact, compact.view(np.dtype((np.void, compact.itemsize * compact.shape[1]))).ravel()
+
+
 def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> RunResult:
     """Run the evolutionary loop until a satisfying circuit or max_gen generations."""
     if max_gates < 1:
@@ -125,7 +138,7 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
     rng = np.random.default_rng(params.seed)
     pop = init_population(params.pop_size, n_bits)
 
-    cache: dict[tuple, Score] = {}
+    cache: dict[bytes, tuple[float, float, int]] = {}  # (fitness, correctness, cost)
     best_bits: np.ndarray | None = None     # best-ever by fitness (elitist record)
     best: Score | None = None
     guide_bits: np.ndarray | None = None    # rotation target, reset on restart
@@ -140,25 +153,22 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
         u = rng.random(shape)
         flips = rng.random(shape) < params.mutation_prob
         bits = ((u < (np.sin(pop) ** 2)[:, None, :]) ^ flips).astype(np.uint8).reshape(-1, n_bits)
-        indices = decode_indices(bits, len(table))
-        keys = [tuple(i for i in row if i) for row in indices.tolist()]
-        first_row: dict[tuple, int] = {}
-        for i, key in enumerate(keys):
-            first_row.setdefault(key, i)
-        scores = {key: cache.get(key) for key in first_row}
-        new = [key for key, score in scores.items() if score is None]
+        compact, keys = wire_compacted(decode_indices(bits, len(table)))
+        uniq, first_row, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        ukeys = uniq.tolist()
+        found = [cache.get(key) for key in ukeys]
+        new = [i for i, entry in enumerate(found) if entry is None]
         if new:
-            _, fresh = evaluate_batch(indices[[first_row[key] for key in new]],
-                                      table, goal, params.fitness)
+            fresh = evaluate_batch(compact[first_row[new]], table, goal, params.fitness)
             if len(cache) + len(new) > CACHE_LIMIT:
                 cache.clear()
-            for key, score in zip(new, fresh):
-                scores[key] = cache[key] = score
-        fitness = np.array([scores[key].fitness for key in keys]).reshape(shape[:2])
+            for i, entry in zip(new, zip(*(col.tolist() for col in fresh))):
+                found[i] = cache[ukeys[i]] = entry
+        fitness = np.array([entry[0] for entry in found])[inverse].reshape(shape[:2])
 
         # the first minimum in (c, t) order is where a strict-improvement scan stops
         first = int(np.argmin(fitness))
-        top = scores[keys[first]]
+        top = Score(*found[inverse[first]])
         improved = top.fitness < guide_fitness
         if improved:
             guide_fitness = top.fitness

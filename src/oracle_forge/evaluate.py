@@ -11,9 +11,9 @@ correct one (that failure mode is real, not a bug).
 
 `evaluate_circuit` scores one circuit given as placements with the
 structured kernel; `evaluate_batch` scores a stack of circuits given as
-placement indices with the row-sparse placement table and gives
-bit-identical results, because each matrix entry is summed from the same
-terms in the same order.
+placement indices with the row-sparse placement table and returns score
+arrays bit-identical to it, because each matrix entry is summed from the
+same terms in the same order and each score from the same operations.
 """
 from __future__ import annotations
 
@@ -123,8 +123,8 @@ def evaluate_circuit(
 
 def evaluate_batch(
     indices: np.ndarray, table: PlacementTable, goal: GoalSpec, params: FitnessParams
-) -> tuple[np.ndarray, list[Score]]:
-    """Lambda stack and scores of the circuits given as rows of placement indices.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fitness, correctness and cost arrays of the circuits given as rows of placement indices.
 
     The rows are taken CHUNK_BYTES of matrices at a time, so a chunk's stack
     stays in cache while every gate position is applied to it.  A position
@@ -133,36 +133,52 @@ def evaluate_batch(
     the whole chunk.  Positions where every row holds the wire are skipped.
     The terms come in the structured kernel's order, so each matrix equals
     `evaluate_circuit`'s bit for bit (only the sign of an exact zero can
-    differ, and no score sees it).
+    differ, and no score sees it).  The products run in three buffers
+    allocated once per call: the source and destination of a position, which
+    swap after it, and the term being added.
+
+    Each chunk's correctness is one `vecdot` with the goal and `hypot` of its
+    real and imaginary parts, which equal `correctness`'s `vdot` and `abs`
+    bit for bit; the fitness is `fitness_value`'s arithmetic on the arrays.
+    So the scores equal `evaluate_circuit`'s exactly.  Cost is int64.
     """
     dim = goal.dim
     chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
-    lams = np.empty((len(indices), dim, dim), dtype=complex)
-    costs = table.costs[indices].sum(axis=1).tolist()
-    scores = []
+    cost = table.costs[indices].sum(axis=1)
+    corr = np.empty(len(indices))
+    goal_flat = goal.matrix.ravel()
+    size = min(chunk, len(indices)) * dim
+    buffers = [np.empty((size, dim), dtype=complex) for _ in range(3)]
+    eye = identity(dim)
     for start in range(0, len(indices), chunk):
         rows = indices[start:start + chunk]
-        lam = np.tile(identity(dim), (len(rows), 1, 1))
+        n = len(rows)
+        lam, out, term = (buf[:n * dim] for buf in buffers)
+        term = term.reshape(n, dim, dim)
+        lam.reshape(n, dim, dim)[:] = eye
         gates = rows[:, rows.any(axis=0)].T  # the positions with a gate in some row
         # (position, row of the chunk, output row, term): the flat input row read
-        first = np.arange(0, len(rows) * dim, dim)[:, None, None]  # flat row 0 of each matrix
+        first = np.arange(0, n * dim, dim)[:, None, None]  # flat row 0 of each matrix
         reads = np.take(table.cols, gates, axis=0) + first
+        # the gathers clip instead of raising, which would buffer their output
+        if reads.size and (reads.min() < 0 or reads.max() >= n * dim):
+            raise IndexError(f"placement table reads outside the {n * dim} rows of a chunk")
         weights = np.take(table.vals, gates, axis=0)
         for read, weight, terms in zip(reads, weights, table.width[gates].max(axis=1).tolist()):
-            flat = lam.reshape(-1, dim)
+            prod = out.reshape(n, dim, dim)
             # weight first: numpy's complex product is not bitwise commutative,
             # and the kernel multiplies gate entry times block
-            lam = np.take(flat, read[..., 0], axis=0)
-            np.multiply(weight[..., 0, None], lam, out=lam)
+            np.take(lam, read[..., 0], axis=0, out=prod, mode="clip")
+            np.multiply(weight[..., 0, None], prod, out=prod)
             for t in range(1, terms):
-                part = np.take(flat, read[..., t], axis=0)
-                np.multiply(weight[..., t, None], part, out=part)
-                lam += part
-        lams[start:start + len(rows)] = lam
-        for one, cost in zip(lam, costs[start:start + len(rows)]):
-            corr = correctness(one, goal)
-            scores.append(Score(fitness_value(cost, corr, params), corr, cost))
-    return lams, scores
+                np.take(lam, read[..., t], axis=0, out=term, mode="clip")
+                np.multiply(weight[..., t, None], term, out=term)
+                prod += term
+            lam, out = out, lam
+        overlap = np.vecdot(goal_flat, lam.reshape(n, -1))
+        corr[start:start + n] = np.hypot(overlap.real, overlap.imag) / dim
+    fitness = params.award * (cost - params.satcost) + params.punish * (1.0 - corr)
+    return fitness, corr, cost
 
 
 def is_success(result: EvalResult | Score, params: FitnessParams) -> bool:

@@ -8,7 +8,6 @@ counted as k^2 multiplications; additions are free.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +95,7 @@ def speedup_predicted(m: int, n: int, k: int) -> bool:
     return math.log2(m) + math.log2(k) > 1.66 * math.log2(n)
 
 
-BENCH_CSV_HEADER = "m,n,k,structured_count,naive_count,predicted_speedup,wall_ns_structured,wall_ns_naive"
+BENCH_CSV_HEADER = "m,n,k,structured_count,naive_count,predicted_speedup"
 
 
 @dataclass
@@ -107,13 +106,11 @@ class BenchRow:
     structured_count: int
     naive_count: int
     predicted_speedup: bool
-    wall_ns_structured: int
-    wall_ns_naive: int
 
     def csv(self) -> str:
         return (
             f"{self.m},{self.n},{self.k},{self.structured_count},{self.naive_count},"
-            f"{self.predicted_speedup},{self.wall_ns_structured},{self.wall_ns_naive}"
+            f"{self.predicted_speedup}"
         )
 
 
@@ -125,20 +122,14 @@ def benchmark_triple(m: int, n: int, k: int, rng: np.random.Generator) -> BenchR
     op = StructuredOperator(m, gate, k)
 
     sc = MulCounter()
-    t0 = time.perf_counter_ns()
     fast = apply_structured(op, b, counter=sc)
-    t1 = time.perf_counter_ns()
-
     nc = MulCounter()
-    dense = embed_dense(op)
-    t2 = time.perf_counter_ns()
-    ref = mat_mul_naive(dense, b, counter=nc)
-    t3 = time.perf_counter_ns()
+    ref = mat_mul_naive(embed_dense(op), b, counter=nc)
 
     err = np.abs(fast - ref).max()
     if err > 1e-9:
         raise AssertionError(f"kernel mismatch during benchmark: max error {err}")
-    return BenchRow(m, n, k, sc.count, nc.count, speedup_predicted(m, n, k), t1 - t0, t3 - t2)
+    return BenchRow(m, n, k, sc.count, nc.count, speedup_predicted(m, n, k))
 
 
 def benchmark_sweep(max_total: int = 64, seed: int = 0, triples=None) -> list[BenchRow]:

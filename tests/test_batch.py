@@ -1,10 +1,11 @@
 """The batched generation path against the scalar one it replaces.
 
-`evaluate_batch` must agree bit for bit with `evaluate_circuit` and with
-a per-placement loop over the structured kernel, and `evolve` must
-reproduce a plain per-candidate loop (decode one bit string, evaluate it,
-cache it by its bytes, scan in (member, measurement) order).
+The score arrays of `evaluate_batch` must equal `evaluate_circuit`'s scores
+and those of a per-placement loop over the structured kernel exactly, and
+`evolve` must reproduce a plain per-candidate loop (decode one bit string,
+evaluate it, cache it by its bytes, scan in (member, measurement) order).
 """
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -15,11 +16,18 @@ from hypothesis import given, settings, strategies as st
 
 from oracle_forge import engine, evaluate
 from oracle_forge.codec import codon_bits, decode, decode_indices
-from oracle_forge.engine import HqeaParams, evolve, init_population, rotate_toward
+from oracle_forge.engine import (
+    HqeaParams,
+    evolve,
+    init_population,
+    rotate_toward,
+    wire_compacted,
+)
 from oracle_forge.evaluate import (
     FitnessParams,
     GoalSpec,
     Score,
+    circuit_unitary,
     correctness,
     evaluate_batch,
     evaluate_circuit,
@@ -59,6 +67,16 @@ GOALS = {m: GoalSpec(m, random_unitary(np.random.default_rng(m), 1 << m)) for m 
 FP = FitnessParams(satcost=4, award=1.0, punish=20.0)
 
 
+def assert_scores_equal(batch, scores):
+    """The three arrays of `evaluate_batch` against a list of exact scores."""
+    fitness, corr, cost = batch
+    assert fitness.shape == corr.shape == cost.shape == (len(scores),)
+    assert cost.dtype == np.int64
+    assert fitness.tolist() == [s.fitness for s in scores]
+    assert corr.tolist() == [s.correctness for s in scores]
+    assert cost.tolist() == [s.allcost for s in scores]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), extended=st.booleans(), m=st.integers(1, 4), g=st.integers(1, 8))
 def test_batch_matches_scalar_evaluator(gate_sets, data, extended, m, g):
@@ -67,14 +85,8 @@ def test_batch_matches_scalar_evaluator(gate_sets, data, extended, m, g):
     row = st.lists(st.integers(0, len(table) - 1), min_size=g, max_size=g)
     rows = data.draw(st.lists(row, min_size=1, max_size=10))
     rows += [[0] * g, rows[0]]  # an all-wire row and a duplicate row
-    lams, scores = evaluate_batch(np.array(rows), table, GOALS[m], FP)
-    assert len(lams) == len(scores) == len(rows)
-    for row, lam, score in zip(rows, lams, scores):
-        ref = evaluate_circuit([table.cases[i] for i in row], GOALS[m], FP)
-        assert np.array_equal(lam, ref.lambda_matrix)
-        assert score.correctness == ref.correctness
-        assert score.allcost == ref.allcost and type(score.allcost) is int
-        assert score.fitness == ref.fitness
+    refs = [evaluate_circuit([table.cases[i] for i in row], GOALS[m], FP) for row in rows]
+    assert_scores_equal(evaluate_batch(np.array(rows), table, GOALS[m], FP), refs)
 
 
 def per_placement_batch(indices, table, goal, params):
@@ -109,11 +121,55 @@ def test_batch_matches_per_placement_loop(gate_sets, data, extended, m, g, chunk
     rows = np.vstack([rows, np.zeros((1, g), dtype=rows.dtype)])  # an all-wire row
     budget = evaluate.CHUNK_BYTES if chunk is None else chunk * 16 * (1 << 2 * m)
     with mock.patch.object(evaluate, "CHUNK_BYTES", budget):
-        lams, scores = evaluate_batch(rows, table, GOALS[m], FP)
+        batch = evaluate_batch(rows, table, GOALS[m], FP)
     ref_lams, ref_scores = per_placement_batch(rows, table, GOALS[m], FP)
-    assert np.array_equal(lams, ref_lams)
-    assert scores == ref_scores
-    assert np.array_equal(lams[-1], identity(1 << m))
+    assert_scores_equal(batch, ref_scores)
+    assert np.array_equal(ref_lams[-1], identity(1 << m))
+    assert batch[1][-1] == correctness(identity(1 << m), GOALS[m])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), g=st.integers(1, 6),
+       phase=st.floats(0, 2 * math.pi, exclude_max=True))
+def test_batch_correctness_ignores_a_global_phase_on_the_goal(data, m, g, phase):
+    table = default_gate_set().table(m)
+    row = st.lists(st.integers(0, len(table) - 1), min_size=g, max_size=g)
+    rows = np.array(data.draw(st.lists(row, min_size=1, max_size=8)))
+    # the goal is itself a circuit of the batch, so some correctness is 1
+    goal = GoalSpec(m, circuit_unitary([table.cases[i] for i in rows[0]], m))
+    turned = GoalSpec(m, np.exp(1j * phase) * goal.matrix)
+    _, corr, _ = evaluate_batch(rows, table, goal, FP)
+    _, corr_turned, _ = evaluate_batch(rows, table, turned, FP)
+    assert np.allclose(corr_turned, corr, rtol=0, atol=1e-12)
+    assert abs(corr[0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bad_row", [-1, 4])
+def test_batch_rejects_a_read_outside_the_chunk(gate_sets, bad_row):
+    # the gathers clip, so a table that reads outside the chunk (one 4x4
+    # matrix: flat rows 0..3) must raise instead
+    table = gate_sets[0].table(2)
+    cols = table.cols.copy()
+    cols[1, 0, 0] = bad_row
+    with pytest.raises(IndexError):
+        evaluate_batch(np.array([[1, 0]]), dataclasses.replace(table, cols=cols), GOALS[2], FP)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1,
+                     max_size=12))
+def test_wire_compacted_keys_collide_exactly_on_equal_gate_sequences(rows):
+    gates = [[i for i in row if i] for row in rows]
+    # each row again with its wires moved to the front
+    rows = rows + [[0] * (len(row) - len(seq)) + seq for row, seq in zip(rows, gates)]
+    gates = gates + gates
+    compact, keys = wire_compacted(np.array(rows, dtype=np.int64))
+    for row, gate_row in zip(compact.tolist(), gates):
+        assert row == gate_row + [0] * (len(row) - len(gate_row))
+    assert keys.shape == (len(rows),)
+    for a, key_a in zip(gates, keys.tolist()):
+        for b, key_b in zip(gates, keys.tolist()):
+            assert (key_a == key_b) == (a == b)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
@@ -252,6 +308,9 @@ def test_clearing_the_cache_only_costs_reevaluations(monkeypatch):
     kept, kept_evals = run(engine.CACHE_LIMIT)
     cleared, cleared_evals = run(10)
     assert cleared.history == kept.history
+    # the cache holds Python numbers, so the history does too
+    assert all(type(fit) is float and type(corr) is float and type(cost) is int
+               for _, fit, corr, cost in kept.history)
     assert np.array_equal(cleared.best_bits, kept.best_bits)
     assert cleared_evals > kept_evals
 

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracle_forge.codec import (
     bits_from_string,
@@ -8,8 +12,12 @@ from oracle_forge.codec import (
     codon_bits,
     decode,
     decode_codon,
+    decode_indices,
+    load_circuit,
     render_ascii,
+    save_circuit,
 )
+from oracle_forge.evaluate import circuit_unitary
 from oracle_forge.gates import case_count, default_gate_set
 
 
@@ -118,3 +126,40 @@ def test_circuit_json_round_trip(gs):
     rebuilt, m = circuit_from_json(data, gs)
     assert m == 2
     assert [(p.name, p.top) for p in rebuilt] == [("H", 0), ("CNOT", 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), g=st.integers(1, 8))
+def test_codon_bits_of_any_indices_decode_back(data, m, g):
+    gs = default_gate_set()
+    table = gs.table(m)
+    n = len(table)
+    k = codon_bits(n)
+    indices = data.draw(st.lists(st.integers(0, n - 1), min_size=g, max_size=g))
+    bits = []
+    for i in indices:
+        # any codon value in the preimage of i: [ceil(i 2^k / n), ceil((i+1) 2^k / n))
+        lo, end = (-((-j << k) // n) for j in (i, i + 1))
+        s = data.draw(st.integers(lo, end - 1))
+        bits += [(s >> (k - 1 - b)) & 1 for b in range(k)]
+    bits = np.array(bits, dtype=np.uint8)
+    assert decode_indices(bits[None], n)[0].tolist() == indices
+    assert all(p is table.cases[i] for p, i in zip(decode(bits, m, gs), indices))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), g=st.integers(0, 8))
+def test_circuit_json_file_round_trip(data, m, g):
+    gs = default_gate_set()
+    table = gs.table(m)
+    circuit = [table.cases[i] for i in data.draw(
+        st.lists(st.integers(0, len(table) - 1), min_size=g, max_size=g))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "circuit.json"
+        save_circuit(circuit, m, path)
+        rebuilt, m_back = load_circuit(path, gs)
+    gates = [p for p in circuit if not p.is_wire]
+    assert m_back == m
+    assert len(rebuilt) == len(gates) and all(a is b for a, b in zip(rebuilt, gates))
+    assert circuit_to_json(rebuilt, m) == circuit_to_json(circuit, m)
+    assert np.array_equal(circuit_unitary(rebuilt, m), circuit_unitary(circuit, m))
