@@ -22,7 +22,7 @@ from .brute import min_cost_search
 from .codec import load_circuit, render_ascii, save_circuit
 from .engine import HqeaParams, evolve, run_batch
 from .evaluate import FitnessParams, evaluate_circuit, is_success
-from .gates import default_gate_set, extend_gate_set
+from .gates import default_gate_set, extend_gate_set, whole_number
 from .kron_apply import BENCH_CSV_HEADER, benchmark_sweep
 
 # the settings only the CLI has; the others default to the field of
@@ -41,6 +41,12 @@ PARAM_FIELDS = {
     "pop": "pop_size",
     "measurements": "measurements",
     "seed": "seed",
+}
+# the type a config-file value must have: that of the flag it stands for
+CONFIG_TYPES = {
+    **dict.fromkeys(("satcost", "g", "runs", "max_gen", "pop", "measurements", "seed"), int),
+    **dict.fromkeys(("award", "punish", "eps"), float),
+    **dict.fromkeys(("goal", "goal_file", "gate_file", "out_dir"), str),
 }
 
 
@@ -130,7 +136,20 @@ def _load_config(args) -> dict:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ValueError("config file must contain a JSON object")
-    return cfg
+    return {key: _config_value(key, val) for key, val in cfg.items() if val is not None}
+
+
+def _config_value(key: str, val):
+    """A config-file value checked against, and converted to, its flag's type."""
+    kind = CONFIG_TYPES.get(key)
+    if kind is None or (kind is str and isinstance(val, str)):
+        return val
+    if kind is int:
+        return whole_number(val, f"config {key!r}")
+    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
+        return float(val)
+    raise ValueError(f"config {key!r} must be {'a number' if kind is float else 'a string'}, "
+                     f"got {val!r}")
 
 
 def _resolve_goal(args, config: dict):

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .gates import GateSet, Placement
+from .gates import GateSet, Placement, whole_number
 
 
 def codon_bits(n_cases: int) -> int:
@@ -96,8 +96,9 @@ def circuit_to_json(circuit, m: int) -> dict:
 
 def circuit_from_json(data: dict, gs: GateSet) -> tuple[list[Placement], int]:
     """Rebuild (circuit, qubit count) from the JSON form."""
-    m = int(data["qubits"])
-    circuit = [gs.placement(e["gate"], int(e["top"]), m) for e in data["gates"]]
+    m = whole_number(data["qubits"], "circuit qubits")
+    circuit = [gs.placement(e["gate"], whole_number(e["top"], f"gate {e['gate']!r}: top"), m)
+               for e in data["gates"]]
     return circuit, m
 
 

@@ -19,14 +19,13 @@ exhausted attractor.
 A generation is scored as one batch: all pop x measurements bit strings
 are decoded at once, circuits are keyed by the bytes of their placement
 indices with the wires moved to the end (wires change neither lambda nor
-cost), and only the circuits not already in the run's cache are
-evaluated, in one `evaluate_batch` call that returns score arrays.
+cost), and each distinct circuit of the generation is scored once, in one
+`evaluate_batch` call that returns score arrays.  No score outlives its
+generation.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,8 +44,6 @@ from .gates import GateSet
 
 THETA_MIN = 0.01
 THETA_MAX = math.pi / 2 - 0.01
-# Scores kept per run; the cache is a pure memo, so it is simply cleared when full.
-CACHE_LIMIT = 1 << 16
 
 RUN_CSV_HEADER = "gen,best_fitness,best_correctness,best_cost"
 
@@ -138,7 +135,6 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
     rng = np.random.default_rng(params.seed)
     pop = init_population(params.pop_size, n_bits)
 
-    cache: dict[bytes, tuple[float, float, int]] = {}  # (fitness, correctness, cost)
     best_bits: np.ndarray | None = None     # best-ever by fitness (elitist record)
     best: Score | None = None
     guide_bits: np.ndarray | None = None    # rotation target, reset on restart
@@ -154,21 +150,15 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
         flips = rng.random(shape) < params.mutation_prob
         bits = ((u < (np.sin(pop) ** 2)[:, None, :]) ^ flips).astype(np.uint8).reshape(-1, n_bits)
         compact, keys = wire_compacted(decode_indices(bits, len(table)))
-        uniq, first_row, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        ukeys = uniq.tolist()
-        found = [cache.get(key) for key in ukeys]
-        new = [i for i, entry in enumerate(found) if entry is None]
-        if new:
-            fresh = evaluate_batch(compact[first_row[new]], table, goal, params.fitness)
-            if len(cache) + len(new) > CACHE_LIMIT:
-                cache.clear()
-            for i, entry in zip(new, zip(*(col.tolist() for col in fresh))):
-                found[i] = cache[ukeys[i]] = entry
-        fitness = np.array([entry[0] for entry in found])[inverse].reshape(shape[:2])
+        _, first_row, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        ufit, ucorr, ucost = evaluate_batch(compact[first_row], table, goal, params.fitness)
+        fitness = ufit[inverse].reshape(shape[:2])
 
         # the first minimum in (c, t) order is where a strict-improvement scan stops
         first = int(np.argmin(fitness))
-        top = Score(*found[inverse[first]])
+        j = inverse[first]
+        # Python numbers, so that history_csv prints them as the scalar path does
+        top = Score(float(ufit[j]), float(ucorr[j]), int(ucost[j]))
         improved = top.fitness < guide_fitness
         if improved:
             guide_fitness = top.fitness
@@ -203,18 +193,6 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
     )
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ORACLE_FORGE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_one(args) -> RunResult:
-    goal, gs, max_gates, params = args
-    return evolve(goal, gs, max_gates, params)
-
-
 def run_batch(
     goal: GoalSpec,
     gs: GateSet,
@@ -228,13 +206,8 @@ def run_batch(
         raise ValueError("n_runs must be at least 1")
     if base_seed is None:
         base_seed = params.seed
-    jobs = [(goal, gs, max_gates, replace(params, seed=base_seed + i)) for i in range(n_runs)]
-    workers = min(_worker_count(), n_runs)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, jobs))
-    else:
-        results = [_run_one(j) for j in jobs]
+    results = [evolve(goal, gs, max_gates, replace(params, seed=base_seed + i))
+               for i in range(n_runs)]
     successes = [r for r in results if r.success]
     st = len(successes)
     as_mean = sum(r.generation_found for r in successes) / st if st else 0.0

@@ -55,11 +55,6 @@ def gate_matrix(name: str) -> np.ndarray:
     return table[name].copy()
 
 
-def flip_two_qubit(matrix: np.ndarray) -> np.ndarray:
-    """The SWAP-conjugated orientation of a two-qubit gate."""
-    return SWAP_MATRIX @ matrix @ SWAP_MATRIX
-
-
 @dataclass(frozen=True)
 class CostModel:
     one_qubit_cost: int = 1
@@ -220,7 +215,7 @@ class GateSet:
             for q in range(m):
                 cases.append(Placement(g.name, q, 1, g.cost, g.matrix))
         for fam in self.two_qubit:
-            flipped = flip_two_qubit(fam.matrix)
+            flipped = SWAP_MATRIX @ fam.matrix @ SWAP_MATRIX  # the lower-control orientation
             for p in range(m - 1):
                 cases.append(Placement(fam.name, p, 2, fam.cost, fam.matrix))
                 cases.append(Placement(fam.name + "2", p, 2, fam.cost, flipped))
@@ -275,6 +270,15 @@ def default_gate_set(cost_model: CostModel = CostModel()) -> GateSet:
     )
 
 
+def whole_number(value, what: str) -> int:
+    """A file value that must be a whole number (2 or 2.0, not 1.9, a bool or a string)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return value
+
+
 def extend_gate_set(gs: GateSet, path) -> GateSet:
     """Append user gates from a JSON file of {name, arity, cost, matrix} entries.
 
@@ -288,8 +292,8 @@ def extend_gate_set(gs: GateSet, path) -> GateSet:
     two = list(gs.two_qubit)
     for e in entries:
         mat = np.array([[complex(re, im) for (re, im) in row] for row in e["matrix"]])
-        g = Gate(e["name"], mat, int(e["cost"]))
-        if g.arity != int(e["arity"]):
+        g = Gate(e["name"], mat, whole_number(e["cost"], f"gate {e['name']!r}: cost"))
+        if g.arity != whole_number(e["arity"], f"gate {g.name!r}: arity"):
             raise ValueError(f"gate {g.name!r}: declared arity {e['arity']} does not match matrix size")
         (one if g.arity == 1 else two).append(g)
     return GateSet(one_qubit=tuple(one), two_qubit=tuple(two))

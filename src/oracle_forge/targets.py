@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .evaluate import GoalSpec
-from .gates import CNOT_MATRIX, H_MATRIX, SWAP_MATRIX
+from .gates import CNOT_MATRIX, H_MATRIX, SWAP_MATRIX, whole_number
 from .linalg import identity, kron
 
 
@@ -76,9 +76,10 @@ def load_goal(path) -> GoalSpec:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"goal matrix must be square, got shape {mat.shape}")
     dim = mat.shape[0]
-    m = int(data.get("qubits", dim.bit_length() - 1))
+    m = whole_number(data.get("qubits", dim.bit_length() - 1), "goal qubits")
     if dim < 2 or dim & (dim - 1) or dim != 1 << m:
         raise ValueError(f"goal dimension {dim} is not 2^qubits (qubits={m})")
     opt = data.get("optimal_cost")
-    return GoalSpec(m, mat, optimal_cost=None if opt is None else int(opt),
-                    name=data.get("name", ""))
+    if opt is not None:
+        opt = whole_number(opt, "goal optimal_cost")
+    return GoalSpec(m, mat, optimal_cost=opt, name=data.get("name", ""))

@@ -274,10 +274,11 @@ def small(seed, **kw):
     ("entangle3", 5, 1, False),
     ("controlled_s", 3, 2, True),
 ])
-@pytest.mark.parametrize("cache_limit", [engine.CACHE_LIMIT, 7])
+# a generation's distinct rows are scored in multi-row chunks, or one row per chunk
+@pytest.mark.parametrize("chunk_bytes", [1 << 16, 7])
 def test_evolve_matches_scalar_loop(gate_sets, monkeypatch, goal_name, g, seed, extended,
-                                    cache_limit):
-    monkeypatch.setattr(engine, "CACHE_LIMIT", cache_limit)
+                                    chunk_bytes):
+    monkeypatch.setattr(evaluate, "CHUNK_BYTES", chunk_bytes)
     gs = gate_sets[extended]
     goal = builtin(goal_name)
     params = small(seed)
@@ -290,29 +291,37 @@ def test_evolve_matches_scalar_loop(gate_sets, monkeypatch, goal_name, g, seed, 
         == (best_eval.fitness, best_eval.correctness, best_eval.allcost)
 
 
-def test_clearing_the_cache_only_costs_reevaluations(monkeypatch):
-    real = engine.evaluate_batch
-    goal, gs, params = builtin("entangle3"), default_gate_set(), small(4, satcost=0)
+def test_each_generation_scores_each_distinct_gate_sequence_once(monkeypatch):
+    # satcost 0 never succeeds, and the population converges enough to draw
+    # equal gate sequences with their wires in other positions
+    params = dataclasses.replace(small(0, satcost=0), max_gen=80, restart_after=40)
+    goal, gs = builtin("controlled_s"), default_gate_set()
+    drawn, scored = [], []
 
-    def run(limit):
-        sizes = []
+    def decode_spy(bits, n_cases):
+        drawn.append(decode_indices(bits, n_cases))
+        return drawn[-1]
 
-        def spy(indices, *args):
-            sizes.append(len(indices))
-            return real(indices, *args)
+    def batch_spy(indices, *args):
+        scored.append(indices)
+        return evaluate_batch(indices, *args)
 
-        monkeypatch.setattr(engine, "CACHE_LIMIT", limit)
-        monkeypatch.setattr(engine, "evaluate_batch", spy)
-        return evolve(goal, gs, 6, params), sum(sizes)
-
-    kept, kept_evals = run(engine.CACHE_LIMIT)
-    cleared, cleared_evals = run(10)
-    assert cleared.history == kept.history
-    # the cache holds Python numbers, so the history does too
+    monkeypatch.setattr(engine, "decode_indices", decode_spy)
+    monkeypatch.setattr(engine, "evaluate_batch", batch_spy)
+    result = evolve(goal, gs, 6, params)
+    assert len(drawn) == len(scored) == result.generations_run == params.max_gen
+    merged = 0
+    for rows, batch in zip(drawn, scored):
+        sequences = [tuple(i for i in row if i) for row in rows.tolist()]
+        batch_sequences = [tuple(i for i in row if i) for row in batch.tolist()]
+        # wire-compacted rows, one per distinct gate sequence of the generation
+        assert batch.tolist() == [list(seq) + [0] * (6 - len(seq)) for seq in batch_sequences]
+        assert sorted(batch_sequences) == sorted(set(sequences))
+        merged += len({tuple(row) for row in rows.tolist()}) - len(batch)
+    assert merged > 0  # some equal gate sequences were drawn with their wires elsewhere
+    # the scores are Python numbers, so the history prints as the scalar path's does
     assert all(type(fit) is float and type(corr) is float and type(cost) is int
-               for _, fit, corr, cost in kept.history)
-    assert np.array_equal(cleared.best_bits, kept.best_bits)
-    assert cleared_evals > kept_evals
+               for _, fit, corr, cost in result.history)
 
 
 def test_decode_indices_rows_match_scalar_decode():

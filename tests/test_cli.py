@@ -255,3 +255,41 @@ def test_brute_has_no_config_flag(capsys):
         main(["brute", "--goal", "entangle2", "--max-gates", "1", "--config", "x.json"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_gate_file_with_a_fractional_cost_exits_1(tmp_path, capsys):
+    path = tmp_path / "gates.json"
+    path.write_text(json.dumps([{"name": "X", "arity": 1, "cost": 1.9,
+                                 "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}]))
+    code, out, err = run(capsys, "brute", "--goal", "swap", "--max-gates", "1",
+                         "--gate-file", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: gate 'X': cost must be a whole number, got 1.9\n"
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"g": 3.5}, "config 'g' must be a whole number, got 3.5"),
+    ({"pop": "5"}, "config 'pop' must be a whole number, got '5'"),
+    ({"seed": True}, "config 'seed' must be a whole number, got True"),
+    ({"punish": "20"}, "config 'punish' must be a number, got '20'"),
+    ({"out_dir": 3}, "config 'out_dir' must be a string, got 3"),
+])
+def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, "synth", "--goal", "entangle2", "--config", str(cfg),
+                       "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_take_their_flags_types(tmp_path):
+    from argparse import Namespace
+
+    from oracle_forge import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g": 6.0, "punish": 20, "satcost": None, "note": [1]}))
+    config = cli._load_config(Namespace(config=str(cfg)))
+    assert config == {"g": 6, "punish": 20.0, "note": [1]}
+    assert type(config["g"]) is int and type(config["punish"]) is float

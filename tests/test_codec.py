@@ -163,3 +163,11 @@ def test_circuit_json_file_round_trip(data, m, g):
     assert len(rebuilt) == len(gates) and all(a is b for a, b in zip(rebuilt, gates))
     assert circuit_to_json(rebuilt, m) == circuit_to_json(circuit, m)
     assert np.array_equal(circuit_unitary(rebuilt, m), circuit_unitary(circuit, m))
+
+
+@pytest.mark.parametrize("gate", [{"gate": "H", "top": 0.7}, {"gate": "H", "top": True}])
+def test_circuit_from_json_rejects_a_non_whole_top(gs, gate):
+    with pytest.raises(ValueError, match="^gate 'H': top must be a whole number, got "):
+        circuit_from_json({"qubits": 2, "gates": [gate]}, gs)
+    with pytest.raises(ValueError, match="^circuit qubits must be a whole number, got 2.5"):
+        circuit_from_json({"qubits": 2.5, "gates": []}, gs)

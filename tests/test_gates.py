@@ -183,3 +183,23 @@ def test_placement_table_is_built_once_per_qubit_count(gs):
 
 def test_default_gate_set_builds_no_table():
     assert default_gate_set()._tables == {}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("cost", 1.9), ("cost", True), ("cost", "1"), ("arity", 1.4), ("arity", None),
+])
+def test_extend_gate_set_rejects_a_non_whole_cost_or_arity(tmp_path, gs, field, value):
+    entry = {"name": "X", "arity": 1, "cost": 1, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
+    path = tmp_path / "gates.json"
+    path.write_text(json.dumps([{**entry, field: value}]))
+    with pytest.raises(ValueError, match=f"^gate 'X': {field} must be a whole number, got "):
+        extend_gate_set(gs, path)
+
+
+def test_extend_gate_set_takes_a_whole_float_cost(tmp_path, gs):
+    entry = {"name": "X", "arity": 1.0, "cost": 3.0,
+             "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
+    path = tmp_path / "gates.json"
+    path.write_text(json.dumps([entry]))
+    cost = extend_gate_set(gs, path).placement("X", 0, 1).cost
+    assert cost == 3 and type(cost) is int

@@ -105,3 +105,14 @@ def test_save_load_identity_goal(tmp_path):
     back = load_goal(path)
     assert np.array_equal(back.matrix, identity(4))
     assert back.optimal_cost is None
+
+
+@pytest.mark.parametrize("field,value", [("optimal_cost", 1.9), ("optimal_cost", False),
+                                         ("qubits", 1.5), ("qubits", "1")])
+def test_load_rejects_a_non_whole_qubit_count_or_optimal_cost(tmp_path, field, value):
+    import json
+    path = tmp_path / "goal.json"
+    data = {"qubits": 1, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], field: value}
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"^goal {field} must be a whole number, got "):
+        load_goal(path)
