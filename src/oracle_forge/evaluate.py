@@ -10,10 +10,15 @@ with a small `punish` a cheap wrong circuit can legitimately out-score a
 correct one (that failure mode is real, not a bug).
 
 `evaluate_circuit` scores one circuit given as placements with the
-structured kernel; `evaluate_batch` scores a stack of circuits given as
-placement indices with the row-sparse placement table and returns score
-arrays bit-identical to it, because each matrix entry is summed from the
-same terms in the same order and each score from the same operations.
+structured kernel.  `evaluate_batch` scores a stack of circuits given as
+rows of placement indices and returns score arrays bit-identical to it,
+because each matrix entry is summed from the same terms in the same order
+and each score from the same operations.  It builds the lambdas with one of
+two kernels, picked by the matrix size alone: below BLOCK_MIN_DIM the
+row-sparse kernel applies a gate position to a cache-sized chunk of rows at
+once with one gather per term; from BLOCK_MIN_DIM up the block kernel
+updates one row's lambda in place, gate by gate, through the placement's
+`BlockStep`, with no gathers and no multiplies by 1.
 """
 from __future__ import annotations
 
@@ -23,12 +28,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .gates import PlacementTable, placement_operator
-from .kron_apply import apply_structured
+from .kron_apply import apply_block_step, apply_structured
 from .linalg import MulCounter, identity, require_unitary
 
-# working-set budget of evaluate_batch: its rows are scored this many bytes
-# of lambda matrices at a time
+# working-set budget of row_sparse_correctness: its rows are scored this
+# many bytes of lambda matrices at a time
 CHUNK_BYTES = 1 << 18
+# evaluate_batch builds lambdas of this dimension and up with the block
+# kernel and smaller ones with the row-sparse kernel.  Measured crossover, as
+# block-kernel speed over row-sparse speed on 300-3,000 random 8-gate rows of
+# the default gates: 0.14x at dim 8, 0.37-0.48x at 16, 1.05-1.28x at 32,
+# 1.97-2.08x at 64 and 1.76-2.06x at 128; in evolve on a 5-qubit GHZ goal
+# (dim 32) the block kernel won 10 of 10 rounds, by 1.2x in the median
+BLOCK_MIN_DIM = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,25 +138,38 @@ def evaluate_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fitness, correctness and cost arrays of the circuits given as rows of placement indices.
 
+    Each row's lambda is built by one of two kernels, chosen by the matrix
+    size alone: `block_correctness` from BLOCK_MIN_DIM up,
+    `row_sparse_correctness` below.  Both sum every matrix entry from the
+    terms of the structured kernel in its order, so each lambda equals
+    `evaluate_circuit`'s bit for bit (only the sign of an exact zero can
+    differ, and no score sees it), and both give correctness as `hypot` of
+    the overlap with the goal, which equals `correctness`'s `abs` bit for
+    bit.  The fitness is `fitness_value`'s arithmetic on the arrays.  So the
+    scores equal `evaluate_circuit`'s exactly.  Cost is int64.
+    """
+    kernel = block_correctness if goal.dim >= BLOCK_MIN_DIM else row_sparse_correctness
+    corr = kernel(indices, table, goal)
+    cost = table.costs[indices].sum(axis=1)
+    fitness = params.award * (cost - params.satcost) + params.punish * (1.0 - corr)
+    return fitness, corr, cost
+
+
+def row_sparse_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec) -> np.ndarray:
+    """Correctness of each row's circuit, a whole chunk of rows per product.
+
     The rows are taken CHUNK_BYTES of matrices at a time, so a chunk's stack
     stays in cache while every gate position is applied to it.  A position
     is one row-sparse product (see `PlacementTable`): term t of every output
     row is its weight times the input row it reads, one gather per term over
     the whole chunk.  Positions where every row holds the wire are skipped.
-    The terms come in the structured kernel's order, so each matrix equals
-    `evaluate_circuit`'s bit for bit (only the sign of an exact zero can
-    differ, and no score sees it).  The products run in three buffers
-    allocated once per call: the source and destination of a position, which
-    swap after it, and the term being added.
-
-    Each chunk's correctness is one `vecdot` with the goal and `hypot` of its
-    real and imaginary parts, which equal `correctness`'s `vdot` and `abs`
-    bit for bit; the fitness is `fitness_value`'s arithmetic on the arrays.
-    So the scores equal `evaluate_circuit`'s exactly.  Cost is int64.
+    The products run in three buffers allocated once per call: the source
+    and destination of a position, which swap after it, and the term being
+    added.  Each chunk's correctness is one `vecdot` with the goal, which
+    equals `correctness`'s `vdot` bit for bit.
     """
     dim = goal.dim
     chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
-    cost = table.costs[indices].sum(axis=1)
     corr = np.empty(len(indices))
     goal_flat = goal.matrix.ravel()
     size = min(chunk, len(indices)) * dim
@@ -177,8 +202,31 @@ def evaluate_batch(
             lam, out = out, lam
         overlap = np.vecdot(goal_flat, lam.reshape(n, -1))
         corr[start:start + n] = np.hypot(overlap.real, overlap.imag) / dim
-    fitness = params.award * (cost - params.satcost) + params.punish * (1.0 - corr)
-    return fitness, corr, cost
+    return corr
+
+
+def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec) -> np.ndarray:
+    """Correctness of each row's circuit, its lambda updated in place gate by gate.
+
+    Each gate is its placement's `BlockStep`: a diagonal gate scales only
+    its blocks whose entry is not 1, a permutation gate is one gather of
+    blocks, a dense gate adds its columns times blocks in the structured
+    kernel's order, and the wire does nothing.  The lambda, its spare and a
+    term buffer are one matrix each, allocated once per call, so a row's
+    work stays in cache.  Each correctness is `correctness`'s `vdot` with
+    the goal.
+    """
+    dim = goal.dim
+    lam, spare, term = np.empty((3, dim, dim), dtype=complex)
+    overlap = np.empty(len(indices), dtype=complex)
+    eye = identity(dim)
+    steps = table.steps
+    for r, row in enumerate(indices.tolist()):
+        lam[:] = eye
+        for i in row:
+            lam, spare = apply_block_step(steps[i], lam, spare, term)
+        overlap[r] = np.vdot(goal.matrix, lam)
+    return np.hypot(overlap.real, overlap.imag) / dim
 
 
 def is_success(result: EvalResult | Score, params: FitnessParams) -> bool:

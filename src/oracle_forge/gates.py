@@ -12,9 +12,9 @@ Placement index convention (fixed for reproducibility):
                          (down, up) within each pair
 
 `GateSet.table(m)` builds the placements on m qubits once, with their
-costs, structured operators and row-sparse form, and keeps them for later
-calls; the codec, the evaluators, the engine and the verifier all read that
-one table.
+costs, structured operators, block steps and row-sparse form, and keeps
+them for later calls; the codec, the evaluators, the engine and the
+verifier all read that one table.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kron_apply import StructuredOperator
+from .kron_apply import StructuredOperator, block_step
 from .linalg import as_matrix, require_unitary
 
 WIRE = "wire"
@@ -117,6 +117,9 @@ class PlacementTable:
     index 0).  `index` maps (name, top) to the placement index; the wire is
     keyed by top 0.
 
+    `steps[i]` is index i's `BlockStep`: how its operator updates a
+    2^m x 2^m matrix block by block (the wire's step does nothing).
+
     The row-sparse form gives row r of the embedded 2^m x 2^m matrix of
     index i as `width[i]` terms: it reads the rows `cols[i, r, :]` in
     increasing order with the weights `vals[i, r, :]`.  The terms past a
@@ -128,6 +131,7 @@ class PlacementTable:
     costs: np.ndarray
     operators: tuple
     index: dict
+    steps: tuple
     cols: np.ndarray
     vals: np.ndarray
     width: np.ndarray
@@ -220,11 +224,13 @@ class GateSet:
                 cases.append(Placement(fam.name, p, 2, fam.cost, fam.matrix))
                 cases.append(Placement(fam.name + "2", p, 2, fam.cost, flipped))
         cols, vals, width = _row_sparse(cases, m)
+        operators = (None,) + tuple(placement_operator(p, m) for p in cases[1:])
         return PlacementTable(
             cases=tuple(cases),
             costs=np.array([p.cost for p in cases], dtype=np.int64),
-            operators=(None,) + tuple(placement_operator(p, m) for p in cases[1:]),
+            operators=operators,
             index={(p.name, p.top): i for i, p in enumerate(cases)},
+            steps=tuple(block_step(op, 1 << m) for op in operators),
             cols=cols,
             vals=vals,
             width=width,
@@ -279,6 +285,41 @@ def whole_number(value, what: str) -> int:
     return value
 
 
+def _shown(value) -> str:
+    """A JSON value for an error message: containers by kind, scalars as written."""
+    return "an object" if isinstance(value, dict) else "a list" if isinstance(value, list) \
+        else repr(value)
+
+
+def json_object(value, what: str) -> dict:
+    """A file value that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {_shown(value)}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    """A file value that must be a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {_shown(value)}")
+    return value
+
+
+def _is_pair(z) -> bool:
+    """True for an [re, im] pair of JSON numbers."""
+    return isinstance(z, list) and len(z) == 2 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)
+
+
+def json_matrix(value, what: str) -> np.ndarray:
+    """A file matrix: equally long rows of [re, im] number pairs."""
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and len(row) == len(value[0]) and all(map(_is_pair, row))
+            for row in value):
+        raise ValueError(f"{what} must be a list of equally long rows of [re, im] number pairs")
+    return np.array([[complex(re, im) for (re, im) in row] for row in value], dtype=complex)
+
+
 def extend_gate_set(gs: GateSet, path) -> GateSet:
     """Append user gates from a JSON file of {name, arity, cost, matrix} entries.
 
@@ -287,11 +328,14 @@ def extend_gate_set(gs: GateSet, path) -> GateSet:
     contribute both orientations.
     """
     with open(path) as f:
-        entries = json.load(f)
+        entries = json_list(json.load(f), "a gate file")
     one = list(gs.one_qubit)
     two = list(gs.two_qubit)
-    for e in entries:
-        mat = np.array([[complex(re, im) for (re, im) in row] for row in e["matrix"]])
+    for i, e in enumerate(entries):
+        e = json_object(e, f"gate entry {i}")
+        if not isinstance(e["name"], str):
+            raise ValueError(f"gate entry {i}: name must be a string, got {e['name']!r}")
+        mat = json_matrix(e["matrix"], f"gate {e['name']!r}: matrix")
         g = Gate(e["name"], mat, whole_number(e["cost"], f"gate {e['name']!r}: cost"))
         if g.arity != whole_number(e["arity"], f"gate {g.name!r}: arity"):
             raise ValueError(f"gate {g.name!r}: declared arity {e['arity']} does not match matrix size")

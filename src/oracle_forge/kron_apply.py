@@ -80,6 +80,80 @@ def apply_structured(
     return out.reshape(b.shape)
 
 
+@dataclass(frozen=True, eq=False)
+class BlockStep:
+    """One I_m (x) A (x) I_k product, as `apply_block_step` applies it to a
+    dim x dim matrix X viewed as `shape` = (m, n, k*dim).
+
+    Output block row p is the sum over l of A[p, l] * X[:, l], so the step
+    depends on the form of A (`kind`):
+
+    - "wire": no gate, nothing to do (its shape is empty);
+    - "diagonal": `entries` holds (p, A[p, p]) for each entry that is not
+      exactly 1, and each scales block row p in place;
+    - "permutation": every row of A has one nonzero, an exact 1, and
+      `entries[p]` is its column: one gather of block rows;
+    - "dense": `entries[l]` is column l of A as an (n, 1) array, and the
+      columns are added in increasing l, the structured kernel's order,
+      each for every output block row at once.
+
+    A product with an exact 1, or with a zero entry of a dense gate, changes
+    at most the sign of an exact zero, so the result equals
+    `apply_structured`'s bit for bit up to that sign.
+    """
+
+    shape: tuple
+    kind: str
+    entries: object
+
+
+def block_step(op: StructuredOperator | None, dim: int) -> BlockStep:
+    """The block step of `op` on dim x dim matrices; None is the wire."""
+    if op is None:
+        return BlockStep((), "wire", ())
+    a = op.gate
+    shape = (op.m, op.n, op.k * dim)
+    nonzero = a != 0
+    if not np.any(nonzero & ~np.eye(op.n, dtype=bool)):
+        return BlockStep(shape, "diagonal",
+                         tuple((p, a[p, p]) for p in range(op.n) if a[p, p] != 1))
+    if np.all(nonzero.sum(axis=1) == 1) and np.all(a[nonzero] == 1):
+        return BlockStep(shape, "permutation", np.argmax(nonzero, axis=1))
+    return BlockStep(shape, "dense", tuple(a[:, l, None].copy() for l in range(op.n)))
+
+
+def apply_block_step(step: BlockStep, x: np.ndarray, spare: np.ndarray, term: np.ndarray):
+    """Apply `step` to the dim x dim matrix `x`; returns (result, free buffer).
+
+    A diagonal step updates `x` in place and a wire leaves it alone; the
+    others write into `spare`, a buffer of x's shape, and hand `x` back as
+    the free one.  `term`, a third buffer of that shape, holds a dense
+    gate's column product before it is added.  Each product is gate entry
+    times block, in that order: numpy's complex product is not bitwise
+    commutative.
+    """
+    if step.kind == "wire":
+        return x, spare
+    xs = x.reshape(step.shape)
+    if step.kind == "diagonal":
+        for p, a in step.entries:
+            block = xs[:, p]
+            np.multiply(a, block, out=block)
+        return x, spare
+    out = spare.reshape(step.shape)
+    if step.kind == "permutation":
+        # clip, not raise: a raising take would buffer its output
+        np.take(xs, step.entries, axis=1, out=out, mode="clip")
+        return spare, x
+    product = term.reshape(step.shape)
+    first, *rest = step.entries
+    np.multiply(first, xs[:, 0, None], out=out)
+    for l, column in enumerate(rest, 1):
+        np.multiply(column, xs[:, l, None], out=product)
+        np.add(out, product, out=out)
+    return spare, x
+
+
 def embed_dense(op: StructuredOperator, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     """Dense realization I_m (x) gate (x) I_k."""
     if op.dim > max_dim:

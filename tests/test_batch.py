@@ -35,7 +35,12 @@ from oracle_forge.evaluate import (
     is_success,
 )
 from oracle_forge.gates import default_gate_set, extend_gate_set
-from oracle_forge.kron_apply import StructuredOperator, apply_structured, embed_dense
+from oracle_forge.kron_apply import (
+    StructuredOperator,
+    apply_block_step,
+    apply_structured,
+    embed_dense,
+)
 from oracle_forge.linalg import identity
 from oracle_forge.targets import builtin
 
@@ -46,21 +51,41 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def gate_entry(name, matrix, cost):
+    arity = matrix.shape[0].bit_length() - 1
+    return {"name": name, "arity": arity, "cost": cost,
+            "matrix": [[[z.real, z.imag] for z in row] for row in matrix]}
+
+
 @pytest.fixture(scope="module")
 def gate_sets(tmp_path_factory):
-    """The default gate set and one extended by dense 2x2 and 4x4 user gates."""
+    """The default gate set and one extended by user gates of every block kind.
+
+    The user gates are dense 2x2 and 4x4 unitaries, a controlled unitary
+    (dense, with zero entries), a 4-cycle of basis states (a permutation that
+    is not its own inverse, unlike CNOT) and a diagonal of non-unit phases
+    after a 1.
+    """
     rng = np.random.default_rng(5)
-    entries = [{"name": name, "arity": arity, "cost": cost,
-                "matrix": [[[z.real, z.imag] for z in row]
-                           for row in random_unitary(rng, 1 << arity)]}
-               for name, arity, cost in (("U", 1, 1), ("V", 2, 3))]
-    path = tmp_path_factory.mktemp("gates") / "dense.json"
+    controlled = np.eye(4, dtype=complex)
+    controlled[2:, 2:] = random_unitary(rng, 2)
+    cycle = np.eye(4, dtype=complex)[[3, 0, 1, 2]]
+    phases = np.diag(np.exp(1j * np.array([0.0, 0.7, 2.1, -1.3])))
+    entries = [gate_entry("U", random_unitary(rng, 2), 1), gate_entry("V", random_unitary(rng, 4), 3),
+               gate_entry("CU", controlled, 2), gate_entry("P", cycle, 2),
+               gate_entry("D", phases, 2)]
+    path = tmp_path_factory.mktemp("gates") / "user.json"
     path.write_text(json.dumps(entries))
     base = default_gate_set()
     ext = extend_gate_set(base, path)
-    for g in ext.one_qubit[-1:] + ext.two_qubit[-1:]:
-        assert np.count_nonzero(g.matrix) == g.matrix.size  # dense, nothing to skip
+    assert not np.array_equal(cycle @ cycle, np.eye(4))
     return base, ext
+
+
+BLOCK_KINDS = {"wire": "wire", "S": "diagonal", "T": "diagonal", "D": "diagonal",
+               "D2": "diagonal", "CNOT": "permutation", "CNOT2": "permutation",
+               "P": "permutation", "P2": "permutation", "H": "dense", "U": "dense",
+               "V": "dense", "V2": "dense", "CU": "dense", "CU2": "dense"}
 
 
 GOALS = {m: GoalSpec(m, random_unitary(np.random.default_rng(m), 1 << m)) for m in range(1, 7)}
@@ -78,7 +103,7 @@ def assert_scores_equal(batch, scores):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), extended=st.booleans(), m=st.integers(1, 4), g=st.integers(1, 8))
+@given(data=st.data(), extended=st.booleans(), m=st.integers(1, 6), g=st.integers(1, 8))
 def test_batch_matches_scalar_evaluator(gate_sets, data, extended, m, g):
     gs = gate_sets[extended]
     table = gs.table(m)
@@ -126,6 +151,42 @@ def test_batch_matches_per_placement_loop(gate_sets, data, extended, m, g, chunk
     assert_scores_equal(batch, ref_scores)
     assert np.array_equal(ref_lams[-1], identity(1 << m))
     assert batch[1][-1] == correctness(identity(1 << m), GOALS[m])
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), extended=st.booleans(), g=st.integers(1, 8))
+def test_block_and_row_sparse_kernels_agree(gate_sets, m, data, extended, g):
+    # both kernels called directly, whatever evaluate_batch would pick at this m
+    table = gate_sets[extended].table(m)
+    row = st.lists(st.integers(0, len(table) - 1), min_size=g, max_size=g)
+    rows = np.array(data.draw(st.lists(row, min_size=1, max_size=6)) + [[0] * g])
+    block = evaluate.block_correctness(rows, table, GOALS[m])
+    row_sparse = evaluate.row_sparse_correctness(rows, table, GOALS[m])
+    fitness, corr, cost = evaluate_batch(rows, table, GOALS[m], FP)
+    assert block.tolist() == row_sparse.tolist() == corr.tolist()
+    assert cost.tolist() == table.costs[rows].sum(axis=1).tolist()
+    assert fitness.tolist() == [fitness_value(c, k, FP) for c, k in zip(cost.tolist(), corr.tolist())]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_each_block_step_matches_the_structured_kernel(gate_sets, m):
+    rng = np.random.default_rng(m)
+    dim = 1 << m
+    for gs in gate_sets:
+        table = gs.table(m)
+        for i, (case, step) in enumerate(zip(table.cases, table.steps)):
+            assert step.kind == BLOCK_KINDS[case.name]
+            x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            ref = x if i == 0 else apply_structured(table.operators[i], x, skip_zeros=True)
+            lam, spare, term = np.empty((3, dim, dim), dtype=complex)
+            lam[:] = x
+            got, free = apply_block_step(step, lam, spare, term)
+            assert np.array_equal(got, ref)
+            # the result and the free buffer are the two matrix buffers
+            assert {id(got), id(free)} == {id(lam), id(spare)}
+    # a diagonal step scales only its non-unit entries
+    assert [p for p, _ in gate_sets[0].table(2).steps[1].entries] == [1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,6 +334,7 @@ def small(seed, **kw):
     ("entangle2", 4, 3, True),
     ("entangle3", 5, 1, False),
     ("controlled_s", 3, 2, True),
+    ("random5", 4, 4, True),  # 32x32: the block kernel
 ])
 # a generation's distinct rows are scored in multi-row chunks, or one row per chunk
 @pytest.mark.parametrize("chunk_bytes", [1 << 16, 7])
@@ -280,7 +342,7 @@ def test_evolve_matches_scalar_loop(gate_sets, monkeypatch, goal_name, g, seed, 
                                     chunk_bytes):
     monkeypatch.setattr(evaluate, "CHUNK_BYTES", chunk_bytes)
     gs = gate_sets[extended]
-    goal = builtin(goal_name)
+    goal = GOALS[5] if goal_name == "random5" else builtin(goal_name)
     params = small(seed)
     result = evolve(goal, gs, g, params)
     history, best_bits, best_eval = scalar_evolve(goal, gs, g, params)

@@ -293,3 +293,19 @@ def test_config_values_take_their_flags_types(tmp_path):
     config = cli._load_config(Namespace(config=str(cfg)))
     assert config == {"g": 6, "punish": 20.0, "note": [1]}
     assert type(config["g"]) is int and type(config["punish"]) is float
+
+
+@pytest.mark.parametrize("argv,name,content,message", [
+    (["brute", "--goal", "swap", "--max-gates", "1", "--gate-file"], "gates.json",
+     {"name": "X", "arity": 1, "cost": 1, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+     "a gate file must be a JSON list, got an object"),
+    (["brute", "--max-gates", "1", "--goal-file"], "goal.json", [[1, 0], [0, 1]],
+     "a goal file must be a JSON object, got a list"),
+    (["verify", "--goal", "entangle2", "--circuit"], "circuit.json", {"qubits": 2, "gates": 5},
+     "circuit gates must be a JSON list, got 5"),
+])
+def test_file_of_the_wrong_json_shape_exits_1(tmp_path, capsys, argv, name, content, message):
+    path = tmp_path / name
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")

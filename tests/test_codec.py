@@ -171,3 +171,17 @@ def test_circuit_from_json_rejects_a_non_whole_top(gs, gate):
         circuit_from_json({"qubits": 2, "gates": [gate]}, gs)
     with pytest.raises(ValueError, match="^circuit qubits must be a whole number, got 2.5"):
         circuit_from_json({"qubits": 2.5, "gates": []}, gs)
+
+
+@pytest.mark.parametrize("data,message", [
+    ([], "a circuit file must be a JSON object, got a list"),
+    ({"qubits": 2, "gates": 5}, "circuit gates must be a JSON list, got 5"),
+    ({"qubits": 2, "gates": {"gate": "H", "top": 0}},
+     "circuit gates must be a JSON list, got an object"),
+    ({"qubits": 2, "gates": ["H"]}, "circuit gate 0 must be a JSON object, got 'H'"),
+    ({"qubits": 2, "gates": [{"gate": 7, "top": 0}]}, "circuit gate 0: gate must be a name, got 7"),
+])
+def test_circuit_from_json_rejects_the_wrong_shape(gs, data, message):
+    with pytest.raises(ValueError) as exc:
+        circuit_from_json(data, gs)
+    assert str(exc.value) == message

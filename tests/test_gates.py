@@ -203,3 +203,27 @@ def test_extend_gate_set_takes_a_whole_float_cost(tmp_path, gs):
     path.write_text(json.dumps([entry]))
     cost = extend_gate_set(gs, path).placement("X", 0, 1).cost
     assert cost == 3 and type(cost) is int
+
+
+@pytest.mark.parametrize("matrix", [
+    5, [5], [[1, 0], [0, 1]], [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[1, 0], [0, 0]], [[0, 0]]], [[[1, "0"], [0, 0]], [[0, 0], [1, 0]]],
+    [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
+])
+def test_extend_gate_set_rejects_a_matrix_that_is_not_rows_of_pairs(tmp_path, gs, matrix):
+    path = tmp_path / "gates.json"
+    path.write_text(json.dumps([{"name": "X", "arity": 1, "cost": 1, "matrix": matrix}]))
+    with pytest.raises(ValueError, match="^gate 'X': matrix must be a list of equally long rows "):
+        extend_gate_set(gs, path)
+
+
+@pytest.mark.parametrize("entries,message", [
+    ({}, "a gate file must be a JSON list, got an object"),
+    ([[1]], "gate entry 0 must be a JSON object, got a list"),
+    ([{"name": 3, "arity": 1, "cost": 1, "matrix": []}], "gate entry 0: name must be a string, got 3"),
+])
+def test_extend_gate_set_rejects_a_file_of_the_wrong_shape(tmp_path, gs, entries, message):
+    path = tmp_path / "gates.json"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        extend_gate_set(gs, path)

@@ -116,3 +116,18 @@ def test_load_rejects_a_non_whole_qubit_count_or_optimal_cost(tmp_path, field, v
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"^goal {field} must be a whole number, got "):
         load_goal(path)
+
+
+@pytest.mark.parametrize("data,message", [
+    ([[1, 0], [0, 1]], "a goal file must be a JSON object, got a list"),
+    ({"matrix": 5}, "goal matrix must be a list of equally long rows of [re, im] number pairs"),
+    ({"matrix": [[1, 0], [0, 1]]}, "goal matrix must be a list of equally long rows of "
+                                   "[re, im] number pairs"),
+])
+def test_load_rejects_a_goal_file_of_the_wrong_shape(tmp_path, data, message):
+    import json
+    path = tmp_path / "goal.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as exc:
+        load_goal(path)
+    assert str(exc.value) == message
