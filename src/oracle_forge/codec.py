@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .gates import GateSet, Placement, json_list, json_object, whole_number
+from .gates import GateSet, Placement, json_fields, json_list, json_object, whole_number
 
 
 def codon_bits(n_cases: int) -> int:
@@ -96,14 +96,16 @@ def circuit_to_json(circuit, m: int) -> dict:
 
 def circuit_from_json(data: dict, gs: GateSet) -> tuple[list[Placement], int]:
     """Rebuild (circuit, qubit count) from the JSON form."""
-    data = json_object(data, "a circuit file")
-    m = whole_number(data["qubits"], "circuit qubits")
+    qubits, gates = json_fields(json_object(data, "a circuit file"), "a circuit file",
+                                "qubits", "gates")
+    m = whole_number(qubits, "circuit qubits")
     circuit = []
-    for i, e in enumerate(json_list(data["gates"], "circuit gates")):
-        e = json_object(e, f"circuit gate {i}")
-        if not isinstance(e["gate"], str):
-            raise ValueError(f"circuit gate {i}: gate must be a name, got {e['gate']!r}")
-        circuit.append(gs.placement(e["gate"], whole_number(e["top"], f"gate {e['gate']!r}: top"), m))
+    for i, e in enumerate(json_list(gates, "circuit gates")):
+        what = f"circuit gate {i}"
+        name, top = json_fields(json_object(e, what), what, "gate", "top")
+        if not isinstance(name, str):
+            raise ValueError(f"{what}: gate must be a name, got {name!r}")
+        circuit.append(gs.placement(name, whole_number(top, f"gate {name!r}: top"), m))
     return circuit, m
 
 

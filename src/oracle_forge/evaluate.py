@@ -145,14 +145,13 @@ def evaluate_batch(
     `evaluate_circuit`'s bit for bit (only the sign of an exact zero can
     differ, and no score sees it), and both give correctness as `hypot` of
     the overlap with the goal, which equals `correctness`'s `abs` bit for
-    bit.  The fitness is `fitness_value`'s arithmetic on the arrays.  So the
+    bit.  The fitness is `fitness_value` of the arrays.  So the
     scores equal `evaluate_circuit`'s exactly.  Cost is int64.
     """
     kernel = block_correctness if goal.dim >= BLOCK_MIN_DIM else row_sparse_correctness
     corr = kernel(indices, table, goal)
     cost = table.costs[indices].sum(axis=1)
-    fitness = params.award * (cost - params.satcost) + params.punish * (1.0 - corr)
-    return fitness, corr, cost
+    return fitness_value(cost, corr, params), corr, cost
 
 
 def row_sparse_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec) -> np.ndarray:

@@ -298,6 +298,14 @@ def json_object(value, what: str) -> dict:
     return value
 
 
+def json_fields(obj: dict, what: str, *keys: str) -> list:
+    """The values of required fields of a file object, in the order named."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r} field")
+    return [obj[key] for key in keys]
+
+
 def json_list(value, what: str) -> list:
     """A file value that must be a JSON list."""
     if not isinstance(value, list):
@@ -332,12 +340,14 @@ def extend_gate_set(gs: GateSet, path) -> GateSet:
     one = list(gs.one_qubit)
     two = list(gs.two_qubit)
     for i, e in enumerate(entries):
-        e = json_object(e, f"gate entry {i}")
-        if not isinstance(e["name"], str):
-            raise ValueError(f"gate entry {i}: name must be a string, got {e['name']!r}")
-        mat = json_matrix(e["matrix"], f"gate {e['name']!r}: matrix")
-        g = Gate(e["name"], mat, whole_number(e["cost"], f"gate {e['name']!r}: cost"))
-        if g.arity != whole_number(e["arity"], f"gate {g.name!r}: arity"):
-            raise ValueError(f"gate {g.name!r}: declared arity {e['arity']} does not match matrix size")
+        what = f"gate entry {i}"
+        name, arity, cost, matrix = json_fields(json_object(e, what), what,
+                                                "name", "arity", "cost", "matrix")
+        if not isinstance(name, str):
+            raise ValueError(f"{what}: name must be a string, got {name!r}")
+        g = Gate(name, json_matrix(matrix, f"gate {name!r}: matrix"),
+                 whole_number(cost, f"gate {name!r}: cost"))
+        if g.arity != whole_number(arity, f"gate {name!r}: arity"):
+            raise ValueError(f"gate {name!r}: declared arity {arity} does not match matrix size")
         (one if g.arity == 1 else two).append(g)
     return GateSet(one_qubit=tuple(one), two_qubit=tuple(two))

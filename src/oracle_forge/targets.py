@@ -11,7 +11,8 @@ import json
 import numpy as np
 
 from .evaluate import GoalSpec
-from .gates import CNOT_MATRIX, H_MATRIX, SWAP_MATRIX, json_matrix, json_object, whole_number
+from .gates import (CNOT_MATRIX, H_MATRIX, SWAP_MATRIX, json_fields, json_matrix, json_object,
+                    whole_number)
 from .linalg import identity, kron
 
 
@@ -72,7 +73,7 @@ def load_goal(path) -> GoalSpec:
     """Load a goal file, rejecting non-unitary or non-2^m matrices."""
     with open(path) as f:
         data = json_object(json.load(f), "a goal file")
-    mat = json_matrix(data["matrix"], "goal matrix")
+    mat = json_matrix(*json_fields(data, "a goal file", "matrix"), "goal matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"goal matrix must be square, got shape {mat.shape}")
     dim = mat.shape[0]

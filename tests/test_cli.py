@@ -1,10 +1,12 @@
 import json
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracle_forge.cli import main
+from oracle_forge.engine import evolve
 from oracle_forge.evaluate import GoalSpec
 from oracle_forge.linalg import identity
 from oracle_forge.targets import builtin, save_goal
@@ -204,50 +206,70 @@ def test_gate_budget_below_one_exits_1(tmp_path, capsys, command, g):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_experiment_sweep_keeps_every_other_setting(monkeypatch, capsys):
-    from dataclasses import replace
-
+def spy_on_batches(monkeypatch):
+    """Record the (g, params, n_runs) of each cli.run_batch call instead of running it."""
     from oracle_forge import cli
     from oracle_forge.engine import BatchStats
 
     seen = []
-    resolve = cli._resolve_params
-
-    def custom_params(*args):
-        params, g = resolve(*args)
-        return replace(params, delta_theta=0.07, mutation_prob=0.2, restart_after=3), g
 
     def fake_batch(goal, gs, g, params, n_runs):
-        seen.append(params)
+        seen.append((g, params, n_runs))
         return BatchStats(runs=n_runs, st=0, as_mean=0.0, ot=None, results=[])
 
-    monkeypatch.setattr(cli, "_resolve_params", custom_params)
     monkeypatch.setattr(cli, "run_batch", fake_batch)
+    return seen
+
+
+def test_experiment_sweep_keeps_every_other_setting(monkeypatch, capsys):
+    from oracle_forge import cli
+    from oracle_forge.engine import HqeaParams
+
+    @dataclass(frozen=True)
+    class CustomParams(HqeaParams):
+        delta_theta: float = 0.07
+        mutation_prob: float = 0.2
+        restart_after: int = 3
+
+        def __post_init__(self):
+            super().__post_init__()
+            # only the first params built are custom: a sweep that builds its
+            # params anew, instead of replacing punish, gets the library's values
+            monkeypatch.setattr(cli, "HqeaParams", HqeaParams)
+
+    monkeypatch.setattr(cli, "HqeaParams", CustomParams)
+    seen = spy_on_batches(monkeypatch)
     code, _, _ = run(capsys, "experiment", "--goal", "entangle2", "--runs", "1",
-                     "--punish-sweep", "1", "5")
+                     "--pop", "9", "--punish-sweep", "1", "5")
     assert code == 0
-    assert [p.fitness.punish for p in seen] == [1.0, 5.0]
-    for p in seen:
-        assert (p.delta_theta, p.mutation_prob, p.restart_after) == (0.07, 0.2, 3)
+    assert [p.fitness.punish for _, p, _ in seen] == [1.0, 5.0]
+    for _, p, _ in seen:
+        assert (p.delta_theta, p.mutation_prob, p.restart_after, p.pop_size) == (0.07, 0.2, 3, 9)
 
 
-def test_run_defaults_come_from_the_parameter_dataclasses(monkeypatch):
-    from argparse import Namespace
+def test_run_defaults_come_from_the_parameter_dataclasses(monkeypatch, tmp_path, capsys):
     from dataclasses import fields
 
-    from oracle_forge import cli
     from oracle_forge.engine import HqeaParams
     from oracle_forge.evaluate import FitnessParams
 
-    args = Namespace()
-    keys = ("award", "punish", "eps", "max_gen", "pop", "measurements", "seed")
-    assert [cli._setting(args, {}, key) for key in keys] == [1.0, 20.0, 1e-6, 100, 20, 10, 0]
+    seen = spy_on_batches(monkeypatch)
+    assert run(capsys, "experiment", "--goal", "entangle2")[0] == 0
+    assert seen.pop() == (8, HqeaParams(FitnessParams(satcost=3, award=1.0, punish=20.0,
+                                                      eps=1e-6),
+                                        pop_size=20, measurements=10, max_gen=100, seed=0), 20)
     monkeypatch.setattr({f.name: f for f in fields(HqeaParams)}["pop_size"], "default", 7)
     monkeypatch.setattr({f.name: f for f in fields(FitnessParams)}["punish"], "default", 3.5)
-    assert cli._setting(args, {}, "pop") == 7
-    assert cli._setting(args, {}, "punish") == 3.5
-    assert cli._setting(args, {"pop": 9}, "pop") == 9
-    assert cli._setting(Namespace(pop=11), {"pop": 9}, "pop") == 11
+    assert run(capsys, "experiment", "--goal", "entangle2")[0] == 0
+    _, params, _ = seen.pop()
+    assert (params.pop_size, params.fitness.punish) == (7, 3.5)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pop": 9}))
+    assert run(capsys, "experiment", "--goal", "entangle2", "--config", str(cfg))[0] == 0
+    assert seen.pop()[1].pop_size == 9
+    assert run(capsys, "experiment", "--goal", "entangle2", "--config", str(cfg),
+               "--pop", "11")[0] == 0
+    assert seen.pop()[1].pop_size == 11
 
 
 def test_brute_has_no_config_flag(capsys):
@@ -283,16 +305,35 @@ def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, config, messag
     assert not (tmp_path / "out").exists()
 
 
-def test_config_values_take_their_flags_types(tmp_path):
-    from argparse import Namespace
-
+def test_config_values_take_their_flags_types(monkeypatch, tmp_path, capsys):
     from oracle_forge import cli
 
+    seen = []
+
+    def spy(goal, gs, g, params):
+        seen.append((g, params))
+        return evolve(goal, gs, g, replace(params, max_gen=1))
+
+    monkeypatch.setattr(cli, "evolve", spy)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"g": 6.0, "punish": 20, "satcost": None, "note": [1]}))
-    config = cli._load_config(Namespace(config=str(cfg)))
-    assert config == {"g": 6, "punish": 20.0, "note": [1]}
-    assert type(config["g"]) is int and type(config["punish"]) is float
+    code, _, _ = run(capsys, "synth", "--goal", "entangle2", "--config", str(cfg),
+                     "--out-dir", str(tmp_path))
+    assert code in (0, 2)
+    [(g, params)] = seen
+    assert type(g) is int and g == 6
+    assert type(params.fitness.punish) is float and params.fitness.punish == 20.0
+    assert params.fitness.satcost == builtin("entangle2").optimal_cost
+
+
+def test_config_keys_that_name_no_flag_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"func": 1, "note": [1]}))
+    code, out, _ = run(capsys, "synth", "--goal", "entangle2", "--config", str(cfg),
+                       "--max-gen", "2", "--out-dir", str(tmp_path))
+    assert code in (0, 2)
+    assert out.startswith("q0: ")
+    assert (tmp_path / "circuit.json").exists()
 
 
 @pytest.mark.parametrize("argv,name,content,message", [
@@ -309,3 +350,34 @@ def test_file_of_the_wrong_json_shape_exits_1(tmp_path, capsys, argv, name, cont
     path.write_text(json.dumps(content))
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,name,content,message", [
+    (["brute", "--max-gates", "1", "--goal-file"], "goal.json", {"qubits": 1},
+     "a goal file has no 'matrix' field"),
+    (["brute", "--goal", "swap", "--max-gates", "1", "--gate-file"], "gates.json",
+     [{"name": "X", "arity": 1, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}],
+     "gate entry 0 has no 'cost' field"),
+    (["verify", "--goal", "entangle2", "--circuit"], "circuit.json",
+     {"qubits": 2, "gates": [{"gate": "H"}]}, "circuit gate 0 has no 'top' field"),
+    (["verify", "--goal", "entangle2", "--circuit"], "circuit.json", {"gates": []},
+     "a circuit file has no 'qubits' field"),
+])
+def test_file_missing_a_required_field_exits_1(tmp_path, capsys, argv, name, content, message):
+    path = tmp_path / name
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_console_script_is_the_cli_main():
+    import importlib
+
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["oracle-forge"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
