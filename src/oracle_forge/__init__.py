@@ -35,16 +35,13 @@ from .evaluate import (
     is_success,
 )
 from .gates import (
-    CostModel,
     Gate,
     GateSet,
     Placement,
     PlacementTable,
     case_count,
-    case_from_index,
     default_gate_set,
     extend_gate_set,
-    gate_matrix,
 )
 from .kron_apply import (
     StructuredOperator,

@@ -3,8 +3,7 @@
 Enumerates all gate sequences up to a length budget (wires excluded: they
 change neither the unitary nor the cost) and reports the cheapest circuit
 matching the goal up to global phase.  Cost-based pruning is admissible
-because gate costs are non-negative; disable it when asserting the exact
-node count.
+because gate costs are non-negative.
 
 The search is a depth-first walk in which only the top `max_gates - L`
 levels are visited node by node.  The last L levels below each prefix are
@@ -98,8 +97,7 @@ class SuffixBlock:
             # both build orders list a depth's sequences lexicographically, the
             # first gate most significant: (g, t) is row g * n^(d-1) + t, and
             # s + (g,) is row s * n + g
-            level = np.concatenate([apply_structured(op, level, skip_zeros=True)
-                                    for op in transposed])
+            level = np.concatenate([apply_structured(op, level) for op in transposed])
             # preorder: s + (g,) follows s and the subtrees of s + (0,) .. s + (g-1,)
             child = (pos[:, None] + 1 + gates * subtree[depth - d]).ravel()
             self.rows[child] = level.reshape(-1, dim * dim)
@@ -121,18 +119,18 @@ class SuffixBlock:
             i = int(self.parent[i])
         return tuple(reversed(seq))
 
-    def replay(self, u: np.ndarray, threshold: float, bound, prune: bool):
+    def replay(self, u: np.ndarray, threshold: float, bound):
         """The walk below a prefix with unitary u, replayed over the block.
 
         `bound` is the current best cost minus the prefix cost (None while
-        nothing matched).  A node is examined iff, with pruning, its cost is
-        below the best found before it in preorder.  Returns the number of
+        nothing matched).  A node is examined iff its cost is below the best
+        found before it in preorder.  Returns the number of
         nodes examined and the preorder index of the node that lowers the
         best, or None.
         """
         corr = np.abs(self.rows @ u.ravel()) / self.dim
         hits = np.flatnonzero(corr >= threshold)
-        if not prune or (bound is None and hits.size == 0):
+        if bound is None and hits.size == 0:
             examined = len(self)
         elif hits.size == 0:
             examined = int(np.searchsorted(self.sorted_costs, bound))
@@ -157,7 +155,6 @@ def min_cost_search(
     gs: GateSet,
     eps: float = 1e-6,
     budget: int = 10 ** 8,
-    prune: bool = True,
 ) -> SearchReport:
     if max_gates < 0:
         raise ValueError(f"the gate budget must be non-negative, got {max_gates}")
@@ -187,10 +184,10 @@ def min_cost_search(
     stack = [(0, (), identity(dim))]
     while stack:
         cost, seq, u = stack.pop()
-        if prune and best_cost is not None and cost >= best_cost:
+        if best_cost is not None and cost >= best_cost:
             continue
         if seq:
-            u = apply_structured(operators[seq[-1]], u, skip_zeros=True)
+            u = apply_structured(operators[seq[-1]], u)
         examined += 1
         corr = abs(np.sum(goal_conj * u)) / dim
         if corr >= threshold and (best_cost is None or cost < best_cost):
@@ -199,7 +196,7 @@ def min_cost_search(
             stack.extend((cost + step[i], seq + (i,), u) for i in reversed(range(len(step))))
         elif block is not None:
             bound = None if best_cost is None else best_cost - cost
-            n, hit = block.replay(u, threshold, bound, prune)
+            n, hit = block.replay(u, threshold, bound)
             examined += n
             if hit is not None:
                 best_cost = cost + int(block.costs[hit])

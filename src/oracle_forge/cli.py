@@ -59,11 +59,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--pop", type=int, default=hqea["pop_size"])
         p.add_argument("--measurements", type=int, default=hqea["measurements"])
         p.add_argument("--seed", type=int, default=hqea["seed"])
-        p.add_argument("--out-dir", default=".")
 
     p_synth = sub.add_parser("synth", help="run one synthesis and save the best circuit")
     add_goal_flags(p_synth)
     add_run_flags(p_synth)
+    p_synth.add_argument("--out-dir", default=".",
+                         help="directory for circuit.json and generations.csv")
     p_synth.set_defaults(func=cmd_synth)
 
     p_exp = sub.add_parser("experiment", help="run seeded batches and print ST/AS/OT rows")

@@ -48,11 +48,6 @@ def decode(bits, m: int, gs: GateSet) -> list[Placement]:
     return [table.cases[i] for i in decode_indices(bits[None], len(table))[0]]
 
 
-def bits_from_string(text: str) -> np.ndarray:
-    """Parse a "0101"-style string (spaces allowed) into a bit array."""
-    return np.array([int(c) for c in text if c in "01"], dtype=np.uint8)
-
-
 def render_ascii(circuit, m: int) -> str:
     """Draw the circuit as m wire rows, time running left to right."""
     columns = []

@@ -29,7 +29,7 @@ import numpy as np
 
 from .gates import PlacementTable, placement_operator
 from .kron_apply import apply_block_step, apply_structured
-from .linalg import MulCounter, identity, require_unitary
+from .linalg import identity, require_unitary
 
 # working-set budget of row_sparse_correctness: its rows are scored this
 # many bytes of lambda matrices at a time
@@ -99,13 +99,13 @@ class EvalResult:
     fitness: float
 
 
-def circuit_unitary(circuit, m: int, counter: MulCounter | None = None) -> np.ndarray:
+def circuit_unitary(circuit, m: int) -> np.ndarray:
     """Ordered product of the embedded gate matrices; wires contribute nothing."""
     u = identity(1 << m)
     for p in circuit:
         if p.is_wire:
             continue
-        u = apply_structured(placement_operator(p, m), u, counter=counter, skip_zeros=True)
+        u = apply_structured(placement_operator(p, m), u)
     return u
 
 
@@ -124,10 +124,8 @@ def fitness_value(cost: int, corr: float, params: FitnessParams) -> float:
     return params.award * (cost - params.satcost) + params.punish * (1.0 - corr)
 
 
-def evaluate_circuit(
-    circuit, goal: GoalSpec, params: FitnessParams, counter: MulCounter | None = None
-) -> EvalResult:
-    lam = circuit_unitary(circuit, goal.num_qubits, counter=counter)
+def evaluate_circuit(circuit, goal: GoalSpec, params: FitnessParams) -> EvalResult:
+    lam = circuit_unitary(circuit, goal.num_qubits)
     corr = correctness(lam, goal)
     cost = allcost(circuit)
     return EvalResult(lam, corr, cost, fitness_value(cost, corr, params))

@@ -44,27 +44,6 @@ SWAP_MATRIX = np.array(
 CNOT2_MATRIX = SWAP_MATRIX @ CNOT_MATRIX @ SWAP_MATRIX
 
 
-def gate_matrix(name: str) -> np.ndarray:
-    """Matrix of a built-in gate by name; the wire has no matrix."""
-    table = {"S": S_MATRIX, "T": T_MATRIX, "H": H_MATRIX,
-             "CNOT": CNOT_MATRIX, "CNOT2": CNOT2_MATRIX}
-    if name == WIRE:
-        raise ValueError("the wire contributes no matrix factor")
-    if name not in table:
-        raise ValueError(f"unknown gate {name!r}")
-    return table[name].copy()
-
-
-@dataclass(frozen=True)
-class CostModel:
-    one_qubit_cost: int = 1
-    two_qubit_cost: int = 2
-
-    def __post_init__(self):
-        if self.one_qubit_cost < 0 or self.two_qubit_cost < 0:
-            raise ValueError("gate costs must be non-negative")
-
-
 @dataclass(frozen=True, eq=False)
 class Gate:
     """A named primitive gate (one- or two-qubit) with its cost."""
@@ -196,14 +175,6 @@ class GateSet:
                 raise ValueError(f"gate name {name!r} of {owner} is already used by {owners[name]}")
             owners[name] = owner
 
-    @property
-    def n1(self) -> int:
-        return len(self.one_qubit)
-
-    @property
-    def n2(self) -> int:
-        return len(self.two_qubit)
-
     def table(self, m: int) -> PlacementTable:
         """The placement table on m qubits, built on first use and then kept."""
         table = self._tables.get(m)
@@ -250,29 +221,18 @@ class GateSet:
 
 
 def case_count(m: int, gs: GateSet) -> int:
-    """N = n1*m + 2*n2*(m-1) + 1 placements on m qubits, wire included."""
+    """N = n1*m + 2*n2*(m-1) + 1 placements on m qubits, wire included, for
+    n1 one-qubit gates and n2 two-qubit families."""
     if m < 1:
         raise ValueError("qubit count must be at least 1")
-    return gs.n1 * m + 2 * gs.n2 * (m - 1) + 1
+    return len(gs.one_qubit) * m + 2 * len(gs.two_qubit) * (m - 1) + 1
 
 
-def case_from_index(idx: int, m: int, gs: GateSet) -> Placement:
-    cases = gs.table(m).cases
-    if not 0 <= idx < len(cases):
-        raise ValueError(f"case index {idx} out of range [0, {len(cases)})")
-    return cases[idx]
-
-
-def default_gate_set(cost_model: CostModel = CostModel()) -> GateSet:
-    """S, T, H and adjacent CNOT (both orientations)."""
-    c1, c2 = cost_model.one_qubit_cost, cost_model.two_qubit_cost
+def default_gate_set() -> GateSet:
+    """S, T, H at cost 1 and adjacent CNOT (both orientations) at cost 2."""
     return GateSet(
-        one_qubit=(
-            Gate("S", S_MATRIX, c1),
-            Gate("T", T_MATRIX, c1),
-            Gate("H", H_MATRIX, c1),
-        ),
-        two_qubit=(Gate("CNOT", CNOT_MATRIX, c2),),
+        one_qubit=(Gate("S", S_MATRIX, 1), Gate("T", T_MATRIX, 1), Gate("H", H_MATRIX, 1)),
+        two_qubit=(Gate("CNOT", CNOT_MATRIX, 2),),
     )
 
 

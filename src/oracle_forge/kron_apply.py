@@ -1,9 +1,11 @@
 """Fast multiplication by operators of the form I_m (x) A_n (x) I_k.
 
 The block decomposition multiplies an mnk x mnk matrix by the structured
-operator in m^2 * n^3 * k^2 scalar multiplications instead of the (mnk)^3
-of a naive dense product.  Each scalar-times-(k x k block) product is
-counted as k^2 multiplications; additions are free.
+operator in at most m^2 * n^3 * k^2 scalar multiplications instead of the
+(mnk)^3 of a naive dense product.  Each scalar-times-(k x k block) product
+is counted as k^2 multiplications; additions are free.  Zero gate entries
+are skipped and not counted, so a gate with nnz nonzero entries costs
+nnz * m^2 * n * k^2, and a dense one m^2 * n^3 * k^2.
 """
 from __future__ import annotations
 
@@ -47,15 +49,14 @@ def apply_structured(
     op: StructuredOperator,
     b: np.ndarray,
     counter: MulCounter | None = None,
-    skip_zeros: bool = False,
 ) -> np.ndarray:
     """Compute (I_m (x) gate (x) I_k) x b via block decomposition.
 
     `b` is one dim x dim matrix or a (B, dim, dim) stack, each matrix
     multiplied on its own with the same operations in the same order.
-    With `skip_zeros` the scalar-by-block products for zero gate entries
-    are elided (no result change, fewer multiplications); leave it off
-    when asserting exact operation counts.
+    The scalar-by-block products of zero gate entries are skipped, so
+    `counter` records m^2 * n * k^2 multiplications per matrix for each
+    nonzero gate entry.
     """
     m, a, k = op.m, op.gate, op.k
     n = op.n
@@ -71,7 +72,7 @@ def apply_structured(
     for p in range(n):
         for l in range(n):
             apl = a[p, l]
-            if skip_zeros and apl == 0:
+            if apl == 0:
                 continue
             out[..., p, :, :, :, :] += apl * br[..., l, :, :, :, :]
             if counter is not None:
@@ -154,11 +155,15 @@ def apply_block_step(step: BlockStep, x: np.ndarray, spare: np.ndarray, term: np
     return spare, x
 
 
-def embed_dense(op: StructuredOperator, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
+def _require_embeddable(dim: int) -> None:
+    if dim > DEFAULT_MAX_DIM:
+        raise ValueError(f"embedded dimension {dim} exceeds maximum {DEFAULT_MAX_DIM}")
+
+
+def embed_dense(op: StructuredOperator) -> np.ndarray:
     """Dense realization I_m (x) gate (x) I_k."""
-    if op.dim > max_dim:
-        raise ValueError(f"embedded dimension {op.dim} exceeds maximum {max_dim}")
-    return kron(identity(op.m), kron(op.gate, identity(op.k), max_dim=max_dim), max_dim=max_dim)
+    _require_embeddable(op.dim)
+    return kron(identity(op.m), kron(op.gate, identity(op.k)))
 
 
 def speedup_predicted(m: int, n: int, k: int) -> bool:
@@ -190,7 +195,9 @@ class BenchRow:
 
 def benchmark_triple(m: int, n: int, k: int, rng: np.random.Generator) -> BenchRow:
     """Instrumented structured-vs-naive run for one (m, n, k) triple."""
+    predicted = speedup_predicted(m, n, k)  # rejects a dimension that is not a power of two
     dim = m * n * k
+    _require_embeddable(dim)  # before the dim x dim draw
     gate = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     op = StructuredOperator(m, gate, k)
@@ -203,7 +210,7 @@ def benchmark_triple(m: int, n: int, k: int, rng: np.random.Generator) -> BenchR
     err = np.abs(fast - ref).max()
     if err > 1e-9:
         raise AssertionError(f"kernel mismatch during benchmark: max error {err}")
-    return BenchRow(m, n, k, sc.count, nc.count, speedup_predicted(m, n, k))
+    return BenchRow(m, n, k, sc.count, nc.count, predicted)
 
 
 def benchmark_sweep(max_total: int = 64, seed: int = 0, triples=None) -> list[BenchRow]:

@@ -55,11 +55,11 @@ def mat_mul_naive(a: np.ndarray, b: np.ndarray, counter: MulCounter | None = Non
     return out
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a guard on the result dimension."""
     dim = a.shape[0] * b.shape[0]
-    if dim > max_dim:
-        raise ValueError(f"kron result dimension {dim} exceeds maximum {max_dim}")
+    if dim > DEFAULT_MAX_DIM:
+        raise ValueError(f"kron result dimension {dim} exceeds maximum {DEFAULT_MAX_DIM}")
     return np.kron(a, b)
 
 

@@ -121,7 +121,7 @@ def per_placement_batch(indices, table, goal, params):
     for column in indices.T:
         for idx in np.unique(column[column != 0]):
             rows = np.flatnonzero(column == idx)
-            lams[rows] = apply_structured(table.operators[idx], lams[rows], skip_zeros=True)
+            lams[rows] = apply_structured(table.operators[idx], lams[rows])
     costs = table.costs[indices].sum(axis=1).tolist()
     scores = []
     for lam, cost in zip(lams, costs):
@@ -178,7 +178,7 @@ def test_each_block_step_matches_the_structured_kernel(gate_sets, m):
         for i, (case, step) in enumerate(zip(table.cases, table.steps)):
             assert step.kind == BLOCK_KINDS[case.name]
             x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            ref = x if i == 0 else apply_structured(table.operators[i], x, skip_zeros=True)
+            ref = x if i == 0 else apply_structured(table.operators[i], x)
             lam, spare, term = np.empty((3, dim, dim), dtype=complex)
             lam[:] = x
             got, free = apply_block_step(step, lam, spare, term)
@@ -262,15 +262,14 @@ def test_batched_kernel_matches_each_matrix(seed, dims, batch):
     rng = np.random.default_rng(seed)
     m, n, k = dims[0], 2 * dims[1], dims[2]
     gate = random_unitary(rng, n)
-    gate[0, -1] = 0  # one zero entry, so skip_zeros has something to skip
+    gate[0, -1] = 0  # one zero entry, so the kernel has a product to skip
     op = StructuredOperator(m, gate, k)
     shape = (batch, op.dim, op.dim)
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for skip in (False, True):
-        out = apply_structured(op, stack, skip_zeros=skip)
-        assert out.shape == stack.shape
-        for b, o in zip(stack, out):
-            assert np.array_equal(o, apply_structured(op, b, skip_zeros=skip))
+    out = apply_structured(op, stack)
+    assert out.shape == stack.shape
+    for b, o in zip(stack, out):
+        assert np.array_equal(o, apply_structured(op, b))
 
 
 def test_batched_kernel_rejects_wrong_shapes():

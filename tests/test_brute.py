@@ -51,18 +51,21 @@ def test_budget_guard(gs):
 
 
 def test_exhaustive_node_count_without_pruning(gs):
-    goal = builtin("entangle2")
-    report = min_cost_search(goal, 2, gs, prune=False)
     n_gates = 8  # nine cases minus the wire
+    # SWAP costs 6 and needs three gates, so at two nothing matches and nothing is pruned
+    report = min_cost_search(builtin("swap"), 2, gs)
+    assert report.min_cost is None
     assert report.circuits_examined == node_count(n_gates, 2) == 1 + 8 + 64
+    _, _, examined = reference_search(builtin("entangle2"), 2, gs, prune=False)
+    assert examined == node_count(n_gates, 2)
 
 
 def test_pruning_preserves_result(gs):
     goal = builtin("entangle2")
-    pruned = min_cost_search(goal, 3, gs, prune=True)
-    full = min_cost_search(goal, 3, gs, prune=False)
-    assert pruned.min_cost == full.min_cost == 3
-    assert pruned.circuits_examined < full.circuits_examined
+    pruned = min_cost_search(goal, 3, gs)
+    full_cost, _, full_examined = reference_search(goal, 3, gs, prune=False)
+    assert pruned.min_cost == full_cost == 3
+    assert pruned.circuits_examined < full_examined
 
 
 def test_no_match_returns_none(gs):
@@ -167,7 +170,7 @@ def reference_search(goal, max_gates, gs, eps=1e-6, prune=True):
             if prune and best_cost is not None and cost + p.cost >= best_cost:
                 continue
             seq.append(p)
-            visit(apply_structured(op, u, skip_zeros=True), cost + p.cost, seq, depth + 1)
+            visit(apply_structured(op, u), cost + p.cost, seq, depth + 1)
             seq.pop()
 
     visit(identity(dim), 0, [], 0)
@@ -196,10 +199,10 @@ def gate_sets(tmp_path_factory):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), extended=st.booleans(), m=st.integers(1, 3),
-       depth=st.sampled_from(["zero", "one", "block", "deeper"]), prune=st.booleans(),
+       depth=st.sampled_from(["zero", "one", "block", "deeper"]),
        reachable=st.booleans(), eps=st.sampled_from([1e-6, 0.05, 0.4]))
-def test_blocked_search_matches_recursive_dfs(gate_sets, data, extended, m, depth, prune,
-                                              reachable, eps):
+def test_blocked_search_matches_recursive_dfs(gate_sets, data, extended, m, depth, reachable,
+                                              eps):
     # The block sums each trace in another order than the reference, so only a
     # correctness within rounding of 1 - eps could be decided differently; these
     # goals put none there.
@@ -217,8 +220,8 @@ def test_blocked_search_matches_recursive_dfs(gate_sets, data, extended, m, dept
     else:
         matrix = random_unitary(rng, 1 << m)
     goal = GoalSpec(m, matrix)
-    report = min_cost_search(goal, max_gates, gs, eps=eps, prune=prune)
-    best_cost, witness, examined = reference_search(goal, max_gates, gs, eps=eps, prune=prune)
+    report = min_cost_search(goal, max_gates, gs, eps=eps)
+    best_cost, witness, examined = reference_search(goal, max_gates, gs, eps=eps)
     assert report.min_cost == best_cost
     assert (report.witness is None) == (witness is None)
     if witness is not None:

@@ -197,10 +197,10 @@ def test_criterion_9_config_matches_pinned_outputs(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["synth", "experiment"])
 @pytest.mark.parametrize("g", ["0", "-3"])
-def test_gate_budget_below_one_exits_1(tmp_path, capsys, command, g):
+def test_gate_budget_below_one_exits_1(tmp_path, capsys, command, g, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # synth's default --out-dir
     extra = ("--runs", "2") if command == "experiment" else ()
-    code, _, err = run(capsys, command, "--goal", "entangle2", "--g", g, *extra,
-                       "--out-dir", str(tmp_path))
+    code, _, err = run(capsys, command, "--goal", "entangle2", "--g", g, *extra)
     assert code == 1
     assert "gate budget must be at least 1" in err
     assert list(tmp_path.iterdir()) == []
@@ -270,6 +270,22 @@ def test_run_defaults_come_from_the_parameter_dataclasses(monkeypatch, tmp_path,
     assert run(capsys, "experiment", "--goal", "entangle2", "--config", str(cfg),
                "--pop", "11")[0] == 0
     assert seen.pop()[1].pop_size == 11
+
+
+def test_experiment_has_no_out_dir(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--goal", "entangle2", "--runs", "1", "--max-gen", "3",
+              "--out-dir", str(tmp_path / "od")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
+    assert not (tmp_path / "od").exists()
+    # a config out_dir names no flag of experiment, so it is ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "od"), "runs": 1, "max_gen": 3}))
+    code, out, _ = run(capsys, "experiment", "--goal", "entangle2", "--config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[1].startswith("entangle2,3,8,3,")
+    assert not (tmp_path / "od").exists()
 
 
 def test_brute_has_no_config_flag(capsys):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_forge.codec import (
-    bits_from_string,
     circuit_from_json,
     circuit_to_json,
     codon_bits,
@@ -70,12 +69,12 @@ def test_all_zero_decodes_to_wires(gs):
 
 
 def test_decode_single_codon(gs):
-    circuit = decode(bits_from_string("1111"), 2, gs)
+    circuit = decode(np.array([1, 1, 1, 1], dtype=np.uint8), 2, gs)
     assert [(p.name, p.top) for p in circuit] == [("CNOT2", 0)]
 
 
 def test_decode_two_codons(gs):
-    circuit = decode(bits_from_string("0000 1111"), 2, gs)
+    circuit = decode(np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.uint8), 2, gs)
     assert circuit[0].is_wire
     assert (circuit[1].name, circuit[1].top) == ("CNOT2", 0)
 

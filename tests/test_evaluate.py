@@ -16,9 +16,9 @@ from oracle_forge.evaluate import (
     is_success,
 )
 from oracle_forge.gates import default_gate_set
-from oracle_forge.kron_apply import embed_dense
+from oracle_forge.kron_apply import apply_structured, embed_dense
 from oracle_forge.evaluate import placement_operator
-from oracle_forge.linalg import MulCounter, identity, is_unitary
+from oracle_forge.linalg import MulCounter, identity, is_unitary, mat_mul_naive
 from oracle_forge.targets import builtin
 
 SQRT2_OVER_4 = math.sqrt(2) / 4
@@ -158,8 +158,11 @@ def test_is_success():
 
 
 def test_structured_and_dense_counts_differ(gs):
-    circuit = [gs.placement("H", 1, 3)]
-    ctr = MulCounter()
-    circuit_unitary(circuit, 3, counter=ctr)
-    # zero-skipping keeps the count at or below the m^2 n^3 k^2 bound
-    assert 0 < ctr.count <= 4 * 8 * 4
+    h = gs.placement("H", 1, 3)
+    op = placement_operator(h, 3)  # I_2 (x) H (x) I_2
+    structured, dense = MulCounter(), MulCounter()
+    lam = apply_structured(op, identity(8), counter=structured)
+    mat_mul_naive(embed_dense(op), identity(8), counter=dense)
+    assert np.array_equal(lam, circuit_unitary([h], 3))
+    # H has no zero entry, so the count is the full m^2 n^3 k^2
+    assert structured.count == 4 * 8 * 4 < dense.count == 8 ** 3

@@ -6,17 +6,14 @@ import pytest
 from oracle_forge.gates import (
     CNOT2_MATRIX,
     CNOT_MATRIX,
-    CostModel,
     Gate,
     GateSet,
     H_MATRIX,
     S_MATRIX,
     T_MATRIX,
     case_count,
-    case_from_index,
     default_gate_set,
     extend_gate_set,
-    gate_matrix,
 )
 from oracle_forge.linalg import identity, is_unitary, kron
 
@@ -38,46 +35,36 @@ def test_case_count_increasing(gs):
 
 
 def test_case_zero_is_wire(gs):
-    p = case_from_index(0, 2, gs)
+    p = gs.cases(2)[0]
     assert p.is_wire and p.top == 0 and p.span == 2
 
 
 def test_case_ordering_anchors(gs):
-    p = case_from_index(1, 2, gs)
+    p = gs.cases(2)[1]
     assert (p.name, p.top) == ("S", 0)
-    p = case_from_index(8, 2, gs)
+    p = gs.cases(2)[8]
     assert (p.name, p.top) == ("CNOT2", 0)
 
 
 def test_case_bijection(gs):
     for m in (1, 2, 3, 4):
         n = case_count(m, gs)
-        seen = {(p.name, p.top) for p in (case_from_index(i, m, gs) for i in range(n))}
-        assert len(seen) == n
-        with pytest.raises(ValueError):
-            case_from_index(n, m, gs)
-        with pytest.raises(ValueError):
-            case_from_index(-1, m, gs)
+        cases = gs.cases(m)
+        assert len(cases) == n
+        assert len({(p.name, p.top) for p in cases}) == n
 
 
 def test_gate_matrices():
-    assert np.array_equal(gate_matrix("S"), np.diag([1, 1j]))
-    assert np.abs(gate_matrix("S") @ gate_matrix("S") - np.diag([1, -1])).max() <= 1e-15
-    assert np.abs(gate_matrix("T") @ gate_matrix("T") - gate_matrix("S")).max() <= 1e-14
+    assert np.array_equal(S_MATRIX, np.diag([1, 1j]))
+    assert np.abs(S_MATRIX @ S_MATRIX - np.diag([1, -1])).max() <= 1e-15
+    assert np.abs(T_MATRIX @ T_MATRIX - S_MATRIX).max() <= 1e-14
     hh = kron(H_MATRIX, H_MATRIX)
-    assert np.abs(gate_matrix("CNOT2") - hh @ gate_matrix("CNOT") @ hh).max() <= 1e-12
-
-
-def test_gate_matrix_wire_and_unknown():
-    with pytest.raises(ValueError):
-        gate_matrix("wire")
-    with pytest.raises(ValueError):
-        gate_matrix("Q")
+    assert np.abs(CNOT2_MATRIX - hh @ CNOT_MATRIX @ hh).max() <= 1e-12
 
 
 def test_all_gate_matrices_unitary():
-    for name in ("S", "T", "H", "CNOT", "CNOT2"):
-        assert is_unitary(gate_matrix(name), 1e-14)
+    for matrix in (S_MATRIX, T_MATRIX, H_MATRIX, CNOT_MATRIX, CNOT2_MATRIX):
+        assert is_unitary(matrix, 1e-14)
 
 
 def test_placement_costs(gs):
@@ -85,12 +72,8 @@ def test_placement_costs(gs):
     assert cases[0].cost == 0          # wire
     assert gs.placement("H", 1, 2).cost == 1
     assert gs.placement("CNOT", 0, 2).cost == 2
-
-
-def test_cost_model_configurable():
-    gs = default_gate_set(CostModel(one_qubit_cost=3, two_qubit_cost=5))
-    assert gs.placement("H", 0, 2).cost == 3
-    assert gs.placement("CNOT", 0, 2).cost == 5
+    # S, T and H cost 1 on each qubit, CNOT 2 in each orientation
+    assert [p.cost for p in cases] == [0] + [1] * 6 + [2] * 2
 
 
 def test_empty_gate_set_rejected():
@@ -116,7 +99,7 @@ def test_extend_gate_set(tmp_path, gs):
     path = tmp_path / "gates.json"
     path.write_text(json.dumps(entries))
     ext = extend_gate_set(gs, path)
-    assert ext.n1 == 4
+    assert len(ext.one_qubit) == 4
     assert case_count(2, ext) == 4 * 2 + 2 * 1 * 1 + 1
     assert np.array_equal(ext.placement("X", 0, 2).matrix, np.array(x, dtype=complex))
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from oracle_forge.gates import CNOT_MATRIX, H_MATRIX
+from oracle_forge import kron_apply
 from oracle_forge.kron_apply import (
     StructuredOperator,
     apply_structured,
     benchmark_sweep,
+    benchmark_triple,
     embed_dense,
     speedup_predicted,
 )
@@ -113,20 +115,32 @@ def test_count_ratio_for_8_2_8():
     assert nc.count // sc.count == 64
 
 
-def test_skip_zeros_changes_count_not_result():
+def test_zero_gate_entries_are_skipped_and_not_counted():
     rng = np.random.default_rng(2)
-    op = StructuredOperator(2, CNOT_MATRIX, 1)
+    m, k = 2, 1
+    op = StructuredOperator(m, CNOT_MATRIX, k)
     b = random_matrix(rng, 8)
-    full, skip = MulCounter(), MulCounter()
-    r1 = apply_structured(op, b, counter=full)
-    r2 = apply_structured(op, b, counter=skip, skip_zeros=True)
-    assert np.array_equal(r1, r2)
-    assert skip.count < full.count
+    ctr = MulCounter()
+    got = apply_structured(op, b, counter=ctr)
+    assert np.array_equal(got, embed_dense(op) @ b)
+    nnz, n = np.count_nonzero(CNOT_MATRIX), 4
+    assert ctr.count == nnz * m * m * n * k * k < m * m * n ** 3 * k * k
+
+
+def test_benchmark_triple_checks_the_size_before_it_allocates(monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("apply_structured called for an oversized triple")
+
+    monkeypatch.setattr(kron_apply, "apply_structured", spy)
+    with pytest.raises(ValueError, match="^embedded dimension 2048 exceeds maximum 1024$"):
+        benchmark_triple(1, 2, 1024, np.random.default_rng(0))
 
 
 def test_benchmark_sweep_rows():
-    rows = benchmark_sweep(max_total=8, seed=0)
-    assert rows
+    # the sweep `bench-matmul` and demos/kron_speedup.py print: random dense
+    # gates have no zero entry, so every row counts m^2 n^3 k^2
+    rows = benchmark_sweep(max_total=64, seed=0)
+    assert len(rows) == 56
     for r in rows:
         assert r.structured_count == r.m ** 2 * r.n ** 3 * r.k ** 2
         assert r.naive_count == (r.m * r.n * r.k) ** 3

@@ -82,8 +82,9 @@ def test_kron_hh_on_basis_vector():
 
 
 def test_kron_dimension_guard():
+    assert kron(identity(32), identity(32)).shape == (1024, 1024)  # DEFAULT_MAX_DIM
     with pytest.raises(ValueError):
-        kron(identity(64), identity(64), max_dim=1024)
+        kron(identity(64), identity(64))
 
 
 def test_is_unitary():
