@@ -15,13 +15,16 @@ rows of placement indices and returns score arrays bit-identical to it,
 because each matrix entry is summed from the same terms in the same order
 and each score from the same operations.  It builds the lambdas with one of
 two kernels, picked by the matrix size alone: below BLOCK_MIN_DIM the
-row-sparse kernel applies a gate position to a cache-sized chunk of rows at
-once with one gather per term; from BLOCK_MIN_DIM up the block kernel
-updates one row's lambda in place, gate by gate, through the placement's
-`BlockStep`, with no gathers and no multiplies by 1.
+row-sparse kernel starts each row from a table of the lambdas of every
+short prefix, then applies a gate position to a cache-sized chunk of rows at
+once with one gather per term, in buffers it keeps from call to call; from
+BLOCK_MIN_DIM up the block kernel updates one row's lambda in place, gate by
+gate, through the placement's `BlockStep`, with no gathers and no
+multiplies by 1.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,7 +35,8 @@ from .kron_apply import apply_block_step, apply_structured
 from .linalg import identity, require_unitary
 
 # working-set budget of row_sparse_correctness: its rows are scored this
-# many bytes of lambda matrices at a time
+# many bytes of lambda matrices at a time, and its prefix table holds at
+# most this many
 CHUNK_BYTES = 1 << 18
 # evaluate_batch builds lambdas of this dimension and up with the block
 # kernel and smaller ones with the row-sparse kernel.  Measured crossover, as
@@ -155,51 +159,129 @@ def evaluate_batch(
 def row_sparse_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec) -> np.ndarray:
     """Correctness of each row's circuit, a whole chunk of rows per product.
 
-    The rows are taken CHUNK_BYTES of matrices at a time, so a chunk's stack
-    stays in cache while every gate position is applied to it.  A position
-    is one row-sparse product (see `PlacementTable`): term t of every output
-    row is its weight times the input row it reads, one gather per term over
-    the whole chunk.  Positions where every row holds the wire are skipped.
-    The products run in three buffers allocated once per call: the source
-    and destination of a position, which swap after it, and the term being
-    added.  Each chunk's correctness is one `vecdot` with the goal, which
-    equals `correctness`'s `vdot` bit for bit.
+    The rows are taken a chunk of at most CHUNK_BYTES of matrices at a time,
+    so a chunk's stack stays in cache while every gate position is applied
+    to it.  Each row starts from the tabulated lambda of its first `depth`
+    placement indices (see `RowSparseScratch`), one gather for the chunk,
+    and `apply_positions` applies only its positions after those.  Each
+    chunk's correctness is one `vecdot` with the goal, which equals
+    `correctness`'s `vdot` bit for bit.
+
+    The gathers clip instead of raising, which would make numpy buffer their
+    output, so the indices they follow are checked first, on every call:
+    each placement reads only rows of its own matrix, and each row holds
+    placement indices of the table.
     """
     dim = goal.dim
-    chunk = max(1, CHUNK_BYTES // (16 * dim * dim))
+    if table.cols.min() < 0 or table.cols.max() >= dim:
+        raise IndexError(f"placement table reads outside the {dim} rows of a matrix")
+    if indices.size and (indices.min() < 0 or indices.max() >= len(table)):
+        raise IndexError(f"placement indices outside [0, {len(table)})")
+    scratch = row_sparse_scratch(table)
+    depth = min(scratch.depth, indices.shape[1])
+    # a row shorter than the table's depth pads its prefix with wires (index 0)
+    place = len(table) ** np.arange(scratch.depth - 1, scratch.depth - 1 - depth, -1)
     corr = np.empty(len(indices))
     goal_flat = goal.matrix.ravel()
-    size = min(chunk, len(indices)) * dim
-    buffers = [np.empty((size, dim), dtype=complex) for _ in range(3)]
-    eye = identity(dim)
-    for start in range(0, len(indices), chunk):
-        rows = indices[start:start + chunk]
+    for start in range(0, len(indices), scratch.chunk):
+        rows = indices[start:start + scratch.chunk]
         n = len(rows)
-        lam, out, term = (buf[:n * dim] for buf in buffers)
-        term = term.reshape(n, dim, dim)
-        lam.reshape(n, dim, dim)[:] = eye
-        gates = rows[:, rows.any(axis=0)].T  # the positions with a gate in some row
-        # (position, row of the chunk, output row, term): the flat input row read
-        first = np.arange(0, n * dim, dim)[:, None, None]  # flat row 0 of each matrix
-        reads = np.take(table.cols, gates, axis=0) + first
-        # the gathers clip instead of raising, which would buffer their output
-        if reads.size and (reads.min() < 0 or reads.max() >= n * dim):
-            raise IndexError(f"placement table reads outside the {n * dim} rows of a chunk")
-        weights = np.take(table.vals, gates, axis=0)
-        for read, weight, terms in zip(reads, weights, table.width[gates].max(axis=1).tolist()):
-            prod = out.reshape(n, dim, dim)
-            # weight first: numpy's complex product is not bitwise commutative,
-            # and the kernel multiplies gate entry times block
-            np.take(lam, read[..., 0], axis=0, out=prod, mode="clip")
-            np.multiply(weight[..., 0, None], prod, out=prod)
-            for t in range(1, terms):
-                np.take(lam, read[..., t], axis=0, out=term, mode="clip")
-                np.multiply(weight[..., t, None], term, out=term)
-                prod += term
-            lam, out = out, lam
+        np.take(scratch.prefixes, rows[:, :depth] @ place, axis=0, out=scratch.lams[0, :n],
+                mode="clip")
+        lam = apply_positions(rows[:, depth:], table, scratch)
         overlap = np.vecdot(goal_flat, lam.reshape(n, -1))
         corr[start:start + n] = np.hypot(overlap.real, overlap.imag) / dim
     return corr
+
+
+def apply_positions(rows: np.ndarray, table: PlacementTable, scratch: RowSparseScratch) -> np.ndarray:
+    """Apply the gate positions of `rows` in order to the matrices in `scratch.lams[0]`.
+
+    Row r's matrix is `scratch.lams[0, r]`.  A position is one row-sparse
+    product (see `PlacementTable`): term t of every output row is its weight
+    times the input row it reads, one gather per term over the whole stack.
+    Positions where every row holds the wire are skipped.  The products run
+    in the three matrix buffers: the source and destination of a position,
+    which swap after it, and the term being added.  Returns the view of the
+    buffer that holds the products.  The indices are not checked here.
+    """
+    n = len(rows)
+    lam, out, term = scratch.lams[:, :n]
+    dim = lam.shape[-1]
+    reads, weights = scratch.reads[:n], scratch.weights[:n]
+    for j in np.flatnonzero(rows.any(axis=0)).tolist():
+        gates = rows[:, j]
+        # (row, output row, term): the flat input row read
+        table.cols.take(gates, axis=0, out=reads, mode="clip")
+        reads += scratch.first[:n]
+        flat = lam.reshape(n * dim, dim)
+        for t in range(int(table.width[gates].max())):
+            dest = out if t == 0 else term
+            flat.take(reads[..., t], axis=0, out=dest, mode="clip")
+            scratch.spread[t].take(gates, axis=0, out=weights, mode="clip")
+            # weight first: numpy's complex product is not bitwise commutative,
+            # and the kernel multiplies gate entry times block
+            np.multiply(weights, dest, out=dest)
+            if t:
+                out += term
+        lam, out = out, lam
+    return lam
+
+
+class RowSparseScratch:
+    """The row-sparse kernel's buffers and prefix table for one placement table.
+
+    `lams` holds three stacks of `chunk` matrices (see `apply_positions`).
+    `reads` takes a position's flat input rows for a chunk and `weights` a
+    term's weights.  `first` is the flat row 0 of each matrix, repeated to
+    the shape of `reads`, and `spread[t, i]` is term t's weights of placement
+    i spread along the rows they scale, so that no sum or product broadcasts
+    (numpy allocates an iteration buffer for every broadcast).  They are
+    allocated once, and a chunk writes each part it reads first.
+
+    `prefixes[k]` is the lambda of the `depth` placement indices whose digits
+    in base N (the table's length) are k, wires included, built with
+    `apply_positions` itself so that each entry is the lambda the kernel
+    would build for that prefix.  `depth` is the largest whose N^depth
+    matrices fit in CHUNK_BYTES: 6, 3, 2 and 1 for the default gates on one
+    to four qubits, and 0 (the identity alone) from 32 x 32 up.
+
+    `lams`, `weights` and `prefixes` are at most CHUNK_BYTES or one matrix
+    each, and `reads` and `first` half that, so a scratch keeps at most
+    6 x CHUNK_BYTES (1.5 MiB) plus the w x N matrices of `spread`: 1.3 to
+    1.5 MiB in all for the default gates on one to four qubits.  The kernel
+    keeps one per live placement table it has scored, built for the
+    CHUNK_BYTES of that time.  It is not for concurrent use.
+    """
+
+    def __init__(self, table: PlacementTable):
+        n, dim, width = table.cols.shape
+        matrix = 16 * dim * dim
+        self.budget = CHUNK_BYTES
+        self.chunk = max(1, CHUNK_BYTES // matrix)
+        self.lams = np.empty((3, self.chunk, dim, dim), dtype=complex)
+        self.reads = np.empty((self.chunk, dim, width), dtype=np.intp)
+        self.weights = np.empty((self.chunk, dim, dim), dtype=complex)
+        self.first = np.repeat(np.arange(0, self.chunk * dim, dim), dim * width).reshape(
+            self.chunk, dim, width)
+        self.spread = np.repeat(np.moveaxis(table.vals, 2, 0)[..., None], dim, axis=3)
+        self.depth = 0
+        while n > 1 and n ** (self.depth + 1) * matrix <= CHUNK_BYTES:  # n = 1: the wire alone
+            self.depth += 1
+        sequences = np.indices((n,) * self.depth).reshape(self.depth, n ** self.depth).T
+        self.lams[0, :len(sequences)] = identity(dim)
+        self.prefixes = apply_positions(sequences, table, self).copy()
+
+
+_SCRATCH: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def row_sparse_scratch(table: PlacementTable) -> RowSparseScratch:
+    """The table's `RowSparseScratch`, built on first use or when CHUNK_BYTES changed."""
+    scratch = _SCRATCH.get(table)
+    if scratch is None or scratch.budget != CHUNK_BYTES:
+        scratch = _SCRATCH[table] = RowSparseScratch(table)
+    return scratch
 
 
 def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec) -> np.ndarray:

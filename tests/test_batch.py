@@ -8,6 +8,7 @@ evaluate it, cache it by its bytes, scan in (member, measurement) order).
 import dataclasses
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,7 @@ from oracle_forge.evaluate import (
     fitness_value,
     is_success,
 )
-from oracle_forge.gates import default_gate_set, extend_gate_set
+from oracle_forge.gates import CNOT_MATRIX, Gate, GateSet, default_gate_set, extend_gate_set
 from oracle_forge.kron_apply import (
     StructuredOperator,
     apply_block_step,
@@ -212,8 +213,86 @@ def test_batch_rejects_a_read_outside_the_chunk(gate_sets, bad_row):
     table = gate_sets[0].table(2)
     cols = table.cols.copy()
     cols[1, 0, 0] = bad_row
+    bad = dataclasses.replace(table, cols=cols)
     with pytest.raises(IndexError):
-        evaluate_batch(np.array([[1, 0]]), dataclasses.replace(table, cols=cols), GOALS[2], FP)
+        evaluate_batch(np.array([[1, 0]]), bad, GOALS[2], FP)
+    # two rows share a chunk (flat rows 0..7), where row 4 is the second
+    # matrix's: the read must still raise
+    with pytest.raises(IndexError):
+        evaluate_batch(np.array([[1, 0], [2, 0]]), bad, GOALS[2], FP)
+
+
+@pytest.mark.parametrize("bad_index", [-1, 9])
+def test_batch_rejects_an_index_outside_the_table(gate_sets, bad_index):
+    table = gate_sets[0].table(2)  # 9 placements
+    with pytest.raises(IndexError):
+        evaluate.row_sparse_correctness(np.array([[1, 2], [bad_index, 0]]), table, GOALS[2])
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_prefix_table_holds_each_prefix_lambda_exactly(gate_sets, m):
+    dim = 1 << m
+    matrix = 16 * dim * dim
+    rng = np.random.default_rng(m)
+    for gs, default_depth in zip(gate_sets, ([6, 3, 2, 1][m - 1], None)):
+        table = gs.table(m)
+        n = len(table)
+        scratch = evaluate.row_sparse_scratch(table)
+        h = scratch.depth
+        # the deepest whose N^h matrices fit in the chunk budget
+        assert n ** h * matrix <= evaluate.CHUNK_BYTES < n ** (h + 1) * matrix
+        assert default_depth in (None, h)
+        assert scratch.prefixes.shape == (n ** h, dim, dim)
+        # entry k is the prefix whose base-N digits are k, wires included;
+        # float views compare real and imaginary parts (zeros up to sign)
+        for k, prefix in enumerate(np.indices((n,) * h).reshape(h, -1).T):
+            ref = circuit_unitary([table.cases[i] for i in prefix], m)
+            assert np.array_equal(scratch.prefixes[k].view(float), ref.view(float))
+        # rows shorter than the prefix pad it with wires
+        for g in range(1, h):
+            rows = np.vstack([rng.integers(0, n, (5, g)), np.zeros((1, g), dtype=np.int64)])
+            refs = [evaluate_circuit([table.cases[i] for i in row], GOALS[m], FP) for row in rows]
+            assert_scores_equal(evaluate_batch(rows, table, GOALS[m], FP), refs)
+        # a new budget gets a new scratch
+        with mock.patch.object(evaluate, "CHUNK_BYTES", 2 * matrix):
+            small_scratch = evaluate.row_sparse_scratch(table)
+            assert (small_scratch.chunk, small_scratch.depth) == (2, 0)
+        assert evaluate.row_sparse_scratch(table).depth == h
+
+
+def test_a_table_of_the_wire_alone_has_no_prefix_depth():
+    # two-qubit gates only, on one qubit: every prefix is the identity
+    table = GateSet(one_qubit=(), two_qubit=(Gate("CNOT", CNOT_MATRIX, 2),)).table(1)
+    assert len(table) == 1 and evaluate.row_sparse_scratch(table).depth == 0
+    _, corr, _ = evaluate_batch(np.zeros((3, 4), dtype=np.int64), table, GOALS[1], FP)
+    assert corr.tolist() == [correctness(identity(2), GOALS[1])] * 3
+
+
+def test_kernel_buffers_carry_nothing_from_call_to_call(gate_sets):
+    # calls of other sizes and qubit counts on one gate set, interleaved, so
+    # each call finds buffers last written by a different one
+    gs = gate_sets[0]
+    rng = np.random.default_rng(12)
+    for m, size, g in [(3, 200, 8), (2, 200, 8), (3, 3, 5), (2, 3, 1), (3, 200, 3), (2, 200, 8)]:
+        table = gs.table(m)
+        rows = rng.integers(0, len(table), (size, g))
+        rows[::7, g // 2:] = 0  # some short circuits
+        refs = [evaluate_circuit([table.cases[i] for i in row], GOALS[m], FP) for row in rows]
+        assert_scores_equal(evaluate_batch(rows, table, GOALS[m], FP), refs)
+
+
+def test_repeated_batch_allocates_no_chunk_sized_array():
+    table = default_gate_set().table(3)
+    rows = np.random.default_rng(13).integers(0, len(table), (200, 8))
+    evaluate_batch(rows, table, GOALS[3], FP)  # builds the prefix table and the buffers
+    tracemalloc.start()
+    try:
+        evaluate_batch(rows, table, GOALS[3], FP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk of 200 8x8 matrices is 200 KiB
+    assert peak < 64 * 1024
 
 
 @settings(max_examples=60, deadline=None)
