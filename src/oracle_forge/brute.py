@@ -6,16 +6,20 @@ matching the goal up to global phase.  Cost-based pruning is admissible
 because gate costs are non-negative.
 
 The search is a depth-first walk in which only the top `max_gates - L`
-levels are visited node by node.  The last L levels below each prefix are
-scored at once by a suffix block built once per query: for every gate
-sequence s of length 1..L, in DFS preorder, the row W_s = (O_s)^T conj(G),
-flattened, so that the correctness of prefix-then-s is
-|W_s . vec(U_prefix)| / 2^m.  The walk's prune and best-update rules are then
-replayed over the block with array operations, so the result, the witness
-and the number of circuits examined are those of the node-by-node walk.
-A node whose correctness lies within rounding (about 1e-12) of `1 - eps`
-may be decided differently, because the block sums the products in another
-order.
+levels are visited node by node.  Each node's unitary is its parent's times
+its last placement's block step from the placement table (see
+`kron_apply.BlockStep`), written into a new array so that the parent's stays
+whole for its siblings; a block step equals the structured product bit for
+bit up to the sign of an exact zero, which no correctness sees.  The last L
+levels below each prefix are scored at once by a suffix block built once per
+query with the structured kernel: for every gate sequence s of length 1..L,
+in DFS preorder, the row W_s = (O_s)^T conj(G), flattened, so that the
+correctness of prefix-then-s is |W_s . vec(U_prefix)| / 2^m.  The walk's
+prune and best-update rules are then replayed over the block with array
+operations, so the result, the witness and the number of circuits examined
+are those of the node-by-node walk.  A node whose correctness lies within
+rounding (about 1e-12) of `1 - eps` may be decided differently, because the
+block sums the products in another order.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ import numpy as np
 
 from .evaluate import GoalSpec
 from .gates import GateSet
-from .kron_apply import StructuredOperator, apply_structured
+from .kron_apply import StructuredOperator, apply_structured, step_product
 from .linalg import identity
 
 # Memory for the suffix block's rows; fixes its depth L for a given qubit
@@ -163,8 +167,9 @@ def min_cost_search(
     table = gs.table(goal.num_qubits)
     placements = table.cases[1:]  # index 0 is the wire
     operators = table.operators[1:]
+    steps = table.steps[1:]
     op_costs = table.costs[1:]
-    step = op_costs.tolist()
+    costs = op_costs.tolist()
     total = node_count(len(placements), max_gates)
     if total > budget:
         raise ValueError(f"search would examine {total} circuits, over the budget of {budget}")
@@ -179,21 +184,23 @@ def min_cost_search(
     best_cost: int | None = None
     best_seq: tuple | None = None
     examined = 0
+    term = np.empty((dim, dim), dtype=complex)
     # (cost, gate indices, unitary before the last gate); popping a node
-    # applies its last gate, so pruned nodes cost no product
+    # applies its last gate, so pruned nodes cost no product.  The parent's
+    # unitary stays on the stack for its siblings, so each child is a new array.
     stack = [(0, (), identity(dim))]
     while stack:
         cost, seq, u = stack.pop()
         if best_cost is not None and cost >= best_cost:
             continue
         if seq:
-            u = apply_structured(operators[seq[-1]], u)
+            u = step_product(steps[seq[-1]], u, term)
         examined += 1
         corr = abs(np.sum(goal_conj * u)) / dim
         if corr >= threshold and (best_cost is None or cost < best_cost):
             best_cost, best_seq = cost, seq
         if len(seq) < walk_depth:
-            stack.extend((cost + step[i], seq + (i,), u) for i in reversed(range(len(step))))
+            stack.extend((cost + costs[i], seq + (i,), u) for i in reversed(range(len(costs))))
         elif block is not None:
             bound = None if best_cost is None else best_cost - cost
             n, hit = block.replay(u, threshold, bound)

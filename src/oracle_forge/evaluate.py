@@ -175,8 +175,7 @@ def row_sparse_correctness(indices: np.ndarray, table: PlacementTable, goal: Goa
     dim = goal.dim
     if table.cols.min() < 0 or table.cols.max() >= dim:
         raise IndexError(f"placement table reads outside the {dim} rows of a matrix")
-    if indices.size and (indices.min() < 0 or indices.max() >= len(table)):
-        raise IndexError(f"placement indices outside [0, {len(table)})")
+    check_indices(indices, table)
     scratch = row_sparse_scratch(table)
     depth = min(scratch.depth, indices.shape[1])
     # a row shorter than the table's depth pads its prefix with wires (index 0)
@@ -192,6 +191,12 @@ def row_sparse_correctness(indices: np.ndarray, table: PlacementTable, goal: Goa
         overlap = np.vecdot(goal_flat, lam.reshape(n, -1))
         corr[start:start + n] = np.hypot(overlap.real, overlap.imag) / dim
     return corr
+
+
+def check_indices(indices: np.ndarray, table: PlacementTable) -> None:
+    """Raise IndexError unless every placement index lies in [0, len(table))."""
+    if indices.size and (indices.min() < 0 or indices.max() >= len(table)):
+        raise IndexError(f"placement indices outside [0, {len(table)})")
 
 
 def apply_positions(rows: np.ndarray, table: PlacementTable, scratch: RowSparseScratch) -> np.ndarray:
@@ -293,8 +298,10 @@ def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec
     kernel's order, and the wire does nothing.  The lambda, its spare and a
     term buffer are one matrix each, allocated once per call, so a row's
     work stays in cache.  Each correctness is `correctness`'s `vdot` with
-    the goal.
+    the goal.  The indices are checked first, as the row-sparse kernel
+    checks them: a negative one would otherwise wrap to the table's end.
     """
+    check_indices(indices, table)
     dim = goal.dim
     lam, spare, term = np.empty((3, dim, dim), dtype=complex)
     overlap = np.empty(len(indices), dtype=complex)

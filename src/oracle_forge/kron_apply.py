@@ -155,6 +155,17 @@ def apply_block_step(step: BlockStep, x: np.ndarray, spare: np.ndarray, term: np
     return spare, x
 
 
+def step_product(step: BlockStep, x: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """`step` applied to `x` in a new array, leaving `x` unchanged.
+
+    A diagonal step works on a copy of `x`, the others write into a fresh
+    spare; `term` is `apply_block_step`'s.  A wire returns `x` itself.
+    """
+    if step.kind == "diagonal":
+        return apply_block_step(step, x.copy(), None, term)[0]
+    return apply_block_step(step, x, np.empty_like(x), term)[0]
+
+
 def _require_embeddable(dim: int) -> None:
     if dim > DEFAULT_MAX_DIM:
         raise ValueError(f"embedded dimension {dim} exceeds maximum {DEFAULT_MAX_DIM}")

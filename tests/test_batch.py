@@ -229,6 +229,20 @@ def test_batch_rejects_an_index_outside_the_table(gate_sets, bad_index):
         evaluate.row_sparse_correctness(np.array([[1, 2], [bad_index, 0]]), table, GOALS[2])
 
 
+@pytest.mark.parametrize("bad_index", [-1, 24])
+def test_block_kernel_rejects_an_index_outside_the_table(gate_sets, bad_index):
+    # from 32 x 32 up the block kernel scores the rows; a negative index must
+    # not wrap to the last placement, nor N fail on a bare tuple index
+    table = gate_sets[0].table(5)
+    assert len(table) == 24
+    rows = np.array([[1, 2], [bad_index, 3]])
+    message = r"^placement indices outside \[0, 24\)$"
+    with pytest.raises(IndexError, match=message):
+        evaluate.block_correctness(rows, table, GOALS[5])
+    with pytest.raises(IndexError, match=message):
+        evaluate_batch(rows, table, GoalSpec(5, np.eye(32)), FitnessParams(satcost=2))
+
+
 @pytest.mark.parametrize("m", range(1, 5))
 def test_prefix_table_holds_each_prefix_lambda_exactly(gate_sets, m):
     dim = 1 << m

@@ -10,7 +10,7 @@ from oracle_forge.brute import BLOCK_BYTES, block_depth, min_cost_search, node_c
 from oracle_forge.cli import main as cli_main
 from oracle_forge.evaluate import GoalSpec, circuit_unitary, correctness
 from oracle_forge.gates import default_gate_set, extend_gate_set
-from oracle_forge.kron_apply import apply_structured
+from oracle_forge.kron_apply import apply_structured, step_product
 from oracle_forge.linalg import identity
 from oracle_forge.targets import builtin
 
@@ -99,9 +99,24 @@ def test_controlled_s_min_cost_is_ten(gs):
     goal = builtin("controlled_s")
     report = min_cost_search(goal, 9, gs, budget=2 * 10 ** 8)
     assert report.min_cost == 10 == goal.optimal_cost
+    assert report.circuits_examined == 57961016
     assert len(report.witness) <= 9
     assert sum(p.cost for p in report.witness) == 10
     assert correctness(circuit_unitary(report.witness, 2), goal) >= 1 - 1e-6
+
+
+@pytest.mark.parametrize("name, max_gates, min_cost, examined", [
+    ("entangle2", 5, 3, 21479),
+    ("swap", 5, 6, 31579),
+    ("entangle3", 4, 5, 18287),
+    ("controlled_s", 5, None, 37449),
+])
+def test_builtin_queries_examine_a_fixed_number_of_circuits(gs, name, max_gates, min_cost,
+                                                           examined):
+    # the benchmark's brute queries: a walk product that differs from the
+    # structured one in more than the sign of a zero would move these counts
+    report = min_cost_search(builtin(name), max_gates, gs)
+    assert (report.min_cost, report.circuits_examined) == (min_cost, examined)
 
 
 def test_negative_gate_budget_rejected(gs):
@@ -227,3 +242,23 @@ def test_blocked_search_matches_recursive_dfs(gate_sets, data, extended, m, dept
     if witness is not None:
         assert [(p.name, p.top) for p in report.witness] == [(p.name, p.top) for p in witness]
     assert report.circuits_examined == examined
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_walk_child_product_matches_the_structured_kernel(gate_sets, m):
+    # the walk builds every child of a node from the parent's unitary, which
+    # stays on the stack for its siblings: a diagonal step scales in place, so
+    # a missed copy would change the parent
+    rng = np.random.default_rng(m)
+    dim = 1 << m
+    term = np.empty((dim, dim), dtype=complex)
+    for gs in gate_sets:
+        table = gs.table(m)
+        parent = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        before = parent.copy()
+        for op, step in zip(table.operators[1:], table.steps[1:]):
+            child = step_product(step, parent, term)
+            assert not np.shares_memory(child, parent)
+            # float views compare real and imaginary parts (zeros up to sign)
+            assert np.array_equal(child.view(float), apply_structured(op, parent).view(float))
+        assert parent.tobytes() == before.tobytes()
