@@ -48,24 +48,37 @@ def decode(bits, m: int, gs: GateSet) -> list[Placement]:
     return [table.cases[i] for i in decode_indices(bits[None], len(table))[0]]
 
 
+# (control wire, its idle basis states, its active ones) of a two-qubit
+# matrix: the upper wire is the more significant bit of the basis index
+_CONTROLS = ((0, [0, 1], [2, 3]), (1, [0, 2], [1, 3]))
+_X = np.array([[0, 1], [1, 0]])
+
+
+def _cells(p: Placement) -> dict:
+    """The drawn cell of each wire a non-wire placement acts on.
+
+    A two-qubit matrix that is the identity on the basis states where one of
+    its wires is 0 is controlled by that wire, drawn `o`; its target is drawn
+    `(+)` when the controlled gate is X.  The first wire that qualifies is
+    the control, so a symmetric one (CZ) draws it on the upper wire.
+    """
+    if p.span == 1:
+        return {p.top: f"[{p.name}]"}
+    a = p.matrix
+    for control, idle, active in _CONTROLS:
+        if np.array_equal(a[idle], np.eye(4)[idle]):
+            target = "(+)" if np.array_equal(a[np.ix_(active, active)], _X) else f"[{p.name}]"
+            return {p.top + control: "o", p.top + 1 - control: target}
+    return {p.top: f"[{p.name}", p.top + 1: f"{p.name}]"}
+
+
 def render_ascii(circuit, m: int) -> str:
     """Draw the circuit as m wire rows, time running left to right."""
     columns = []
     for p in circuit:
         if p.is_wire:
             continue
-        cells = {}
-        if p.span == 1:
-            cells[p.top] = f"[{p.name}]"
-        elif p.name == "CNOT":
-            cells[p.top] = "o"
-            cells[p.top + 1] = "(+)"
-        elif p.name == "CNOT2":
-            cells[p.top] = "(+)"
-            cells[p.top + 1] = "o"
-        else:
-            cells[p.top] = f"[{p.name}"
-            cells[p.top + 1] = f"{p.name}]"
+        cells = _cells(p)
         width = max(len(c) for c in cells.values()) + 2
         col = []
         for q in range(m):

@@ -18,9 +18,11 @@ two kernels, picked by the matrix size alone: below BLOCK_MIN_DIM the
 row-sparse kernel starts each row from a table of the lambdas of every
 short prefix, then applies a gate position to a cache-sized chunk of rows at
 once with one gather per term, in buffers it keeps from call to call; from
-BLOCK_MIN_DIM up the block kernel updates one row's lambda in place, gate by
-gate, through the placement's `BlockStep`, with no gathers and no
-multiplies by 1.
+BLOCK_MIN_DIM up the block kernel builds each row's head, its positions
+before its second placement of width > 1, sparsely for a chunk of rows at
+once (a head's lambda has at most w nonzeros a row, w the table's widest
+row), scatters it into a dense lambda and applies the rest of the row in
+place, gate by gate, through the placements' `BlockStep`s.
 """
 from __future__ import annotations
 
@@ -40,10 +42,11 @@ from .linalg import identity, require_unitary
 CHUNK_BYTES = 1 << 18
 # evaluate_batch builds lambdas of this dimension and up with the block
 # kernel and smaller ones with the row-sparse kernel.  Measured crossover, as
-# block-kernel speed over row-sparse speed on 300-3,000 random 8-gate rows of
-# the default gates: 0.14x at dim 8, 0.37-0.48x at 16, 1.05-1.28x at 32,
-# 1.97-2.08x at 64 and 1.76-2.06x at 128; in evolve on a 5-qubit GHZ goal
-# (dim 32) the block kernel won 10 of 10 rounds, by 1.2x in the median
+# block-kernel speed over row-sparse speed on 300 random 8-gate rows of the
+# default gates (three row sets, best of seven calls each), with the sparse
+# head: 0.27-0.33x at dim 8, 0.94-0.99x at 16, 2.6-3.1x at 32 and 3.7-4.3x
+# at 64; in evolve on a 4-qubit GHZ goal (dim 16, 40 generations) the block
+# kernel lost 7 of 7 rounds, at 0.87x in the median, so the crossover stays
 BLOCK_MIN_DIM = 32
 
 
@@ -63,6 +66,8 @@ class GoalSpec:
                 f"goal on {self.num_qubits} qubits must be {dim}x{dim}, got {self.matrix.shape}"
             )
         require_unitary(self.matrix, "goal matrix")
+        if self.optimal_cost is not None and self.optimal_cost < 0:
+            raise ValueError(f"goal optimal_cost must be non-negative, got {self.optimal_cost}")
 
     @property
     def dim(self) -> int:
@@ -143,11 +148,11 @@ def evaluate_batch(
     Each row's lambda is built by one of two kernels, chosen by the matrix
     size alone: `block_correctness` from BLOCK_MIN_DIM up,
     `row_sparse_correctness` below.  Both sum every matrix entry from the
-    terms of the structured kernel in its order, so each lambda equals
-    `evaluate_circuit`'s bit for bit (only the sign of an exact zero can
-    differ, and no score sees it), and both give correctness as `hypot` of
-    the overlap with the goal, which equals `correctness`'s `abs` bit for
-    bit.  The fitness is `fitness_value` of the arrays.  So the
+    terms of the structured kernel in its order, less some terms that are
+    exact zeros, so each lambda equals `evaluate_circuit`'s bit for bit
+    (only the sign of an exact zero can differ, and no score sees it), and
+    both give correctness as `hypot` of the overlap with the goal, which
+    equals `correctness`'s `abs` bit for bit.  The fitness is `fitness_value` of the arrays.  So the
     scores equal `evaluate_circuit`'s exactly.  Cost is int64.
     """
     kernel = block_correctness if goal.dim >= BLOCK_MIN_DIM else row_sparse_correctness
@@ -173,8 +178,7 @@ def row_sparse_correctness(indices: np.ndarray, table: PlacementTable, goal: Goa
     placement indices of the table.
     """
     dim = goal.dim
-    if table.cols.min() < 0 or table.cols.max() >= dim:
-        raise IndexError(f"placement table reads outside the {dim} rows of a matrix")
+    check_reads(table, dim)
     check_indices(indices, table)
     scratch = row_sparse_scratch(table)
     depth = min(scratch.depth, indices.shape[1])
@@ -281,38 +285,176 @@ class RowSparseScratch:
 _SCRATCH: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def row_sparse_scratch(table: PlacementTable) -> RowSparseScratch:
-    """The table's `RowSparseScratch`, built on first use or when CHUNK_BYTES changed."""
-    scratch = _SCRATCH.get(table)
+def kernel_scratch(kind: type, table: PlacementTable):
+    """The table's scratch of class `kind`, built on first use or when CHUNK_BYTES changed."""
+    kept = _SCRATCH.setdefault(table, {})
+    scratch = kept.get(kind)
     if scratch is None or scratch.budget != CHUNK_BYTES:
-        scratch = _SCRATCH[table] = RowSparseScratch(table)
+        scratch = kept[kind] = kind(table)
     return scratch
 
 
-def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec) -> np.ndarray:
-    """Correctness of each row's circuit, its lambda updated in place gate by gate.
+def row_sparse_scratch(table: PlacementTable) -> RowSparseScratch:
+    """The table's `RowSparseScratch`."""
+    return kernel_scratch(RowSparseScratch, table)
 
-    Each gate is its placement's `BlockStep`: a diagonal gate scales only
-    its blocks whose entry is not 1, a permutation gate is one gather of
-    blocks, a dense gate adds its columns times blocks in the structured
-    kernel's order, and the wire does nothing.  The lambda, its spare and a
-    term buffer are one matrix each, allocated once per call, so a row's
-    work stays in cache.  Each correctness is `correctness`'s `vdot` with
-    the goal.  The indices are checked first, as the row-sparse kernel
-    checks them: a negative one would otherwise wrap to the table's end.
+
+def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec) -> np.ndarray:
+    """Correctness of each row's circuit: a sparse head, then block steps.
+
+    A row's head is its positions before its second placement of width > 1
+    (see `PlacementTable`).  Up to there its lambda is monomial, one nonzero
+    per row, and after the one wide placement at most w per row, so the
+    heads of a chunk of rows are carried as the columns and values of those
+    nonzeros (see `BlockScratch`), one flat gather per position for the
+    whole chunk.  Each lambda is then scattered into a stack of CHUNK_BYTES
+    of matrices and the rest of its row applied in place, gate by gate,
+    through the placements' `BlockStep`s; trailing wires are dropped.  Each
+    stack's correctness is one `vecdot` with the goal, which equals
+    `correctness`'s `vdot` bit for bit.
+
+    The lambda equals the block steps' bit for bit, up to the sign of an
+    exact zero.  A block step sums gate entry times block over the gate's
+    columns.  Before the wide placement every row reads one row of a
+    monomial lambda, so each entry has one term, gate entry times value.
+    The wide placement reads w rows of that monomial lambda, whose nonzeros
+    lie in distinct columns, so each entry of its product again has one
+    nonzero term, and every other term the block step adds is a product
+    with an exact zero.  A product with an exact 1, which the block step
+    skips, changes at most the sign of a zero.
+
+    The gathers clip instead of raising, so the indices and the table's read
+    columns are checked first, as the row-sparse kernel checks them.
     """
+    check_reads(table, goal.dim)
     check_indices(indices, table)
-    dim = goal.dim
-    lam, spare, term = np.empty((3, dim, dim), dtype=complex)
-    overlap = np.empty(len(indices), dtype=complex)
-    eye = identity(dim)
+    scratch = kernel_scratch(BlockScratch, table)
     steps = table.steps
-    for r, row in enumerate(indices.tolist()):
-        lam[:] = eye
-        for i in row:
-            lam, spare = apply_block_step(steps[i], lam, spare, term)
-        overlap[r] = np.vdot(goal.matrix, lam)
-    return np.hypot(overlap.real, overlap.imag) / dim
+    g = indices.shape[1]
+    in_head = np.cumsum(table.width[indices] > 1, axis=1) <= 1
+    heads = np.where(in_head, indices, 0)  # the wire past each head
+    starts = in_head.sum(axis=1)
+    ends = (np.arange(1, g + 1) * (indices != 0)).max(axis=1, initial=0)
+    overlap = np.empty(len(indices), dtype=complex)
+    goal_flat = goal.matrix.ravel()
+    spare, term = scratch.spare, scratch.term
+    for start in range(0, len(indices), scratch.chunk):
+        stop = start + scratch.chunk
+        cols, vals = head_lambdas(heads[start:stop], table, scratch)
+        tails = [row[a:b] for row, a, b in zip(indices[start:stop].tolist(),
+                                               starts[start:stop].tolist(),
+                                               ends[start:stop].tolist())]
+        for k in range(0, len(tails), len(scratch.lams)):
+            part = slice(k, k + len(scratch.lams))
+            lams = scatter_heads(cols[part], vals[part], scratch)
+            for x, tail in zip(lams, tails[part]):
+                lam = x
+                for i in tail:
+                    lam, spare = apply_block_step(steps[i], lam, spare, term)
+                if lam is not x:
+                    x[...] = lam
+                    spare = lam
+            n = len(lams)
+            overlap[start + k:start + k + n] = np.vecdot(goal_flat, lams.reshape(n, -1))
+    return np.hypot(overlap.real, overlap.imag) / goal.dim
+
+
+def check_reads(table: PlacementTable, dim: int) -> None:
+    """Raise IndexError unless every placement reads only rows of its own matrix."""
+    if table.cols.min() < 0 or table.cols.max() >= dim:
+        raise IndexError(f"placement table reads outside the {dim} rows of a matrix")
+
+
+def head_lambdas(heads: np.ndarray, table: PlacementTable, scratch: BlockScratch):
+    """The (rows, dim, w) columns and values of the lambdas of `heads`.
+
+    Row r's lambda has the value `vals[r, i, s]` at column `cols[r, i, s]` of
+    its row i, for each slot s.  Each lambda starts as the identity, the
+    wire's row-sparse form, and each position is one gather of the chunk's
+    slots through `scratch.read` and one product with `scratch.weight`,
+    weight first as in the block step.  Positions where every row holds the
+    wire are skipped.
+    """
+    n = len(heads)
+    cols, new_cols = scratch.cols[:, :n]
+    vals, new_vals = scratch.vals[:, :n]
+    cols[...] = table.cols[0]
+    vals[...] = table.vals[0]
+    reads, weights = scratch.reads[:n], scratch.weights[:n]
+    for j in np.flatnonzero(heads.any(axis=0)).tolist():
+        gates = heads[:, j]
+        scratch.read.take(gates, axis=0, out=reads, mode="clip")
+        reads += scratch.first[:n]
+        scratch.weight.take(gates, axis=0, out=weights, mode="clip")
+        cols.take(reads, out=new_cols, mode="clip")
+        vals.take(reads, out=new_vals, mode="clip")
+        np.multiply(weights, new_vals, out=new_vals)
+        cols, new_cols, vals, new_vals = new_cols, cols, new_vals, vals
+    return cols, vals
+
+
+def scatter_heads(cols: np.ndarray, vals: np.ndarray, scratch: BlockScratch) -> np.ndarray:
+    """The dense lambdas of the head slots `cols` and `vals`, in the first
+    matrices of `scratch.lams`."""
+    n = len(cols)
+    lams = scratch.lams[:n]
+    lams[...] = 0
+    flat, where = lams.reshape(-1), scratch.where[:n]
+    # a zero-weight pad slot may share a column with a real entry of its row,
+    # which comes in a lower slot and so is written after it
+    for s in range(cols.shape[2] - 1, -1, -1):
+        np.add(scratch.base[:n], cols[:, :, s], out=where)
+        flat[where] = vals[:, :, s]
+    return lams
+
+
+class BlockScratch:
+    """The block kernel's head tables and buffers for one placement table.
+
+    A head lambda keeps w slots a row, w the table's widest row (see
+    `head_lambdas`).  Placement p's product on it reads, for output slot s
+    of row i, the flat slot `read[p, i, s]` of the input's (dim, w) slots,
+    with the weight `weight[p, i, s]`:
+
+    - a placement of width 1 reads slot s of its one row `cols[p, i, 0]`,
+      with its weight `vals[p, i, 0]`, so it moves the slots of a row in
+      their order;
+    - a wider one reads slot 0 of each of its rows `cols[p, i, t]`, with the
+      weights `vals[p, i, t]`: each row of the monomial lambda it reads
+      holds its one nonzero in slot 0.
+
+    `cols` and `vals` hold two head stacks of `chunk` lambdas, the source and
+    destination of a position, and `reads` and `weights` take a position's
+    reads and weights for a chunk; `first` is the flat slot 0 of each
+    lambda, repeated to the shape of `reads`.  Those six arrays take 80
+    bytes a slot, and `chunk` is the most lambdas whose slots fit in
+    CHUNK_BYTES: 25 at 64 x 64 and 51 at 32 x 32 with w = 2.  `lams` is the
+    stack of CHUNK_BYTES of matrices the heads are scattered into,
+    `base[k, i]` the flat index of row i of its matrix k, and `where` takes
+    a slot's scatter indices; `spare` and `term` are the block steps'.  So
+    a scratch keeps about 2 x CHUNK_BYTES plus two matrices and the tables:
+    0.7 MiB at 64 x 64 for the default gates.  It is not for concurrent use.
+    """
+
+    def __init__(self, table: PlacementTable):
+        _, dim, width = table.cols.shape
+        self.budget = CHUNK_BYTES
+        narrow = (table.width == 1)[:, None, None]
+        self.read = np.where(narrow, table.cols[..., :1] * width + np.arange(width),
+                             table.cols * width)
+        self.weight = np.where(narrow, table.vals[..., :1], table.vals)
+        self.chunk = max(1, CHUNK_BYTES // (80 * dim * width))
+        self.cols = np.empty((2, self.chunk, dim, width), dtype=np.intp)
+        self.vals = np.empty((2, self.chunk, dim, width), dtype=complex)
+        self.reads = np.empty((self.chunk, dim, width), dtype=np.intp)
+        self.weights = np.empty((self.chunk, dim, width), dtype=complex)
+        self.first = np.repeat(np.arange(0, self.chunk * dim * width, dim * width),
+                               dim * width).reshape(self.chunk, dim, width)
+        stack = max(1, CHUNK_BYTES // (16 * dim * dim))
+        self.lams = np.empty((stack, dim, dim), dtype=complex)
+        self.base = np.arange(0, stack * dim * dim, dim).reshape(stack, dim)
+        self.where = np.empty((stack, dim), dtype=np.intp)
+        self.spare, self.term = np.empty((2, dim, dim), dtype=complex)
 
 
 def is_success(result: EvalResult | Score, params: FitnessParams) -> bool:

@@ -170,6 +170,68 @@ def test_block_and_row_sparse_kernels_agree(gate_sets, m, data, extended, g):
     assert fitness.tolist() == [fitness_value(c, k, FP) for c, k in zip(cost.tolist(), corr.tolist())]
 
 
+def head_rows(table, extended):
+    """Rows of six positions that end a block kernel head in each way it can end.
+
+    Width 1 are S, T, CNOT, CNOT2 and the wire; H (and the user gates CU and
+    V) are wider.  CU has rows of width 1 and 2, so its product carries
+    zero-weight pad slots, and the CNOT2 and P after it move them.
+    """
+    def at(*gates):
+        return [table.index[gate] for gate in gates] + [0] * (6 - len(gates))
+
+    rows = [
+        at(),  # all wires
+        at(("S", 0), ("CNOT", 1), ("T", 3), ("CNOT2", 2), ("S", 4), ("H", 3)),  # wide last
+        at(("H", 0), ("CNOT", 0), ("T", 1), ("CNOT2", 1), ("H", 4), ("S", 1)),  # wide first
+        at(("S", 0), ("H", 0), ("H", 1), ("CNOT", 0), ("T", 1)),  # two adjacent wide
+    ]
+    if extended:
+        rows.append(at(("CNOT", 2), ("CU", 1), ("CNOT2", 1), ("P", 2), ("H", 3), ("T", 2)))
+        rows.append(at(("CU2", 0), ("P2", 1), ("S", 1), ("CU", 2), ("V", 0)))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), extended=st.booleans(), m=st.sampled_from([5, 6]), g=st.integers(1, 8),
+       chunk=st.sampled_from([1, 3, None]))
+def test_block_head_matches_scalar_evaluator(gate_sets, data, extended, m, g, chunk):
+    table = gate_sets[extended].table(m)
+    narrow = np.flatnonzero(table.width == 1).tolist()
+    wide = np.flatnonzero(table.width > 1).tolist()
+    rows = []
+    for _ in range(data.draw(st.integers(1, 30))):
+        # mostly placements of width 1, and 0 to 3 wider ones anywhere
+        k = data.draw(st.integers(0, min(3, g)))
+        at = data.draw(st.sets(st.integers(0, g - 1), min_size=k, max_size=k))
+        rows.append([data.draw(st.sampled_from(wide if j in at else narrow)) for j in range(g)])
+    # the drawn rows and the explicit ones, padded with wires to one length
+    length = max(g, 6)
+    rows = np.array([row + [0] * (length - len(row)) for row in rows + head_rows(table, extended)])
+    budget = evaluate.CHUNK_BYTES if chunk is None else chunk * 16 * (1 << 2 * m)
+    with mock.patch.object(evaluate, "CHUNK_BYTES", budget):
+        corr = evaluate.block_correctness(rows, table, GOALS[m])
+    refs = [evaluate_circuit([table.cases[i] for i in row], GOALS[m], FP).correctness
+            for row in rows]
+    assert corr.tolist() == refs
+
+
+def test_repeated_block_batch_allocates_no_chunk_sized_array():
+    table = default_gate_set().table(6)
+    rows = np.random.default_rng(14).integers(0, len(table), (200, 8))
+    evaluate_batch(rows, table, GOALS[6], FP)  # builds the head tables and the buffers
+    tracemalloc.start()
+    try:
+        evaluate_batch(rows, table, GOALS[6], FP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the stack of 64 x 64 matrices is 256 KiB; what a call allocates is
+    # numpy's 128 KiB iteration buffer of a dense block step's broadcast
+    # product, and index arrays of the rows
+    assert peak < 256 * 1024
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 6])
 def test_each_block_step_matches_the_structured_kernel(gate_sets, m):
     rng = np.random.default_rng(m)

@@ -386,6 +386,17 @@ def test_file_missing_a_required_field_exits_1(tmp_path, capsys, argv, name, con
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_goal_file_with_a_negative_optimal_cost_exits_1(tmp_path, capsys):
+    path = tmp_path / "goal.json"
+    save_goal(builtin("entangle2"), path)
+    data = json.loads(path.read_text())
+    data["optimal_cost"] = -3
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "experiment", "--goal-file", str(path), "--satcost", "5",
+                         "--runs", "1", "--max-gen", "1")
+    assert (code, out, err) == (1, "", "error: goal optimal_cost must be non-negative, got -3\n")
+
+
 def test_console_script_is_the_cli_main():
     import importlib
 

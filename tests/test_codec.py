@@ -17,7 +17,14 @@ from oracle_forge.codec import (
     save_circuit,
 )
 from oracle_forge.evaluate import circuit_unitary
-from oracle_forge.gates import case_count, default_gate_set
+from oracle_forge.gates import (
+    H_MATRIX,
+    SWAP_MATRIX,
+    Gate,
+    GateSet,
+    case_count,
+    default_gate_set,
+)
 
 
 @pytest.fixture
@@ -115,6 +122,24 @@ def test_render_ascii_swap_reference(gs):
     text = render_ascii(circuit, 2)
     assert text.splitlines()[0].count("o") == 2
     assert text.splitlines()[1].count("o") == 1
+
+
+def test_render_ascii_draws_controls_from_the_oriented_matrix(gs):
+    # CNOT and CNOT2 draw as they always have
+    text = render_ascii([gs.placement("CNOT", 0, 2), gs.placement("CNOT2", 0, 2)], 2)
+    assert text == "q0: -----o---(+)----\nq1: ----(+)---o-----"
+    # a user controlled-H family: its control is on the upper wire, and on
+    # the lower one in its swapped orientation
+    controlled = np.eye(4, dtype=complex)
+    controlled[2:, 2:] = H_MATRIX
+    user = GateSet(one_qubit=(), two_qubit=(Gate("CU", controlled, 2),))
+    text = render_ascii([user.placement("CU", 0, 3), user.placement("CU2", 1, 3)], 3)
+    assert text.splitlines() == ["q0: -----o-------------",
+                                 "q1: ----[CU]--[CU2]----",
+                                 "q2: ------------o------"]
+    # a gate controlled by neither wire spans both
+    swap = GateSet(one_qubit=(), two_qubit=(Gate("SW", SWAP_MATRIX, 3),))
+    assert render_ascii([swap.placement("SW", 0, 2)], 2) == "q0: ----[SW----\nq1: ----SW]----"
 
 
 def test_circuit_json_round_trip(gs):
