@@ -26,6 +26,7 @@ place, gate by gate, through the placements' `BlockStep`s.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,6 +75,14 @@ class GoalSpec:
         return 1 << self.num_qubits
 
 
+def require_eps(eps: float) -> None:
+    """A success tolerance must leave the threshold 1 - eps in (0, 1)."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if not eps < 1:
+        raise ValueError(f"eps must be below 1, got {eps}")
+
+
 @dataclass(frozen=True)
 class FitnessParams:
     satcost: int
@@ -84,12 +93,13 @@ class FitnessParams:
     def __post_init__(self):
         if self.satcost < 0:
             raise ValueError("satcost must be non-negative")
+        if not (math.isfinite(self.award) and math.isfinite(self.punish)):
+            raise ValueError("award and punish must be finite")
         if self.award < 0 or self.punish < 0:
             raise ValueError("award and punish must be non-negative")
         if self.award == 0 and self.punish == 0:
             raise ValueError("award and punish must not both be zero")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        require_eps(self.eps)
 
 
 class Score(NamedTuple):

@@ -84,7 +84,10 @@ def apply_structured(
 @dataclass(frozen=True, eq=False)
 class BlockStep:
     """One I_m (x) A (x) I_k product, as `apply_block_step` applies it to a
-    dim x dim matrix X viewed as `shape` = (m, n, k*dim).
+    dim x dim matrix X viewed as `shape` = (-1, n, k*dim): m blocks of n
+    block rows.  The leading -1 lets the same step apply to a C-contiguous
+    (B, dim, dim) stack, as B*m blocks, each matrix on its own with the
+    operations of the one-matrix step.
 
     Output block row p is the sum over l of A[p, l] * X[:, l], so the step
     depends on the form of A (`kind`):
@@ -113,7 +116,7 @@ def block_step(op: StructuredOperator | None, dim: int) -> BlockStep:
     if op is None:
         return BlockStep((), "wire", ())
     a = op.gate
-    shape = (op.m, op.n, op.k * dim)
+    shape = (-1, op.n, op.k * dim)
     nonzero = a != 0
     if not np.any(nonzero & ~np.eye(op.n, dtype=bool)):
         return BlockStep(shape, "diagonal",
@@ -124,7 +127,8 @@ def block_step(op: StructuredOperator | None, dim: int) -> BlockStep:
 
 
 def apply_block_step(step: BlockStep, x: np.ndarray, spare: np.ndarray, term: np.ndarray):
-    """Apply `step` to the dim x dim matrix `x`; returns (result, free buffer).
+    """Apply `step` to the dim x dim matrix `x`, or to a C-contiguous stack
+    of them; returns (result, free buffer).
 
     A diagonal step updates `x` in place and a wire leaves it alone; the
     others write into `spare`, a buffer of x's shape, and hand `x` back as
@@ -155,15 +159,21 @@ def apply_block_step(step: BlockStep, x: np.ndarray, spare: np.ndarray, term: np
     return spare, x
 
 
-def step_product(step: BlockStep, x: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """`step` applied to `x` in a new array, leaving `x` unchanged.
+def step_product(step: BlockStep, x: np.ndarray, term: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """`step` applied to `x` in `out` (a new array by default), leaving `x`
+    unchanged.
 
-    A diagonal step works on a copy of `x`, the others write into a fresh
-    spare; `term` is `apply_block_step`'s.  A wire returns `x` itself.
+    A diagonal step works on a copy of `x` in `out`, the others write into
+    it as their spare; `out` must be C-contiguous, of x's shape, and `term`
+    is `apply_block_step`'s.  A wire returns `x` itself.
     """
+    if out is None:
+        out = np.empty_like(x, order="C")
     if step.kind == "diagonal":
-        return apply_block_step(step, x.copy(), None, term)[0]
-    return apply_block_step(step, x, np.empty_like(x), term)[0]
+        np.copyto(out, x)
+        return apply_block_step(step, out, None, term)[0]
+    return apply_block_step(step, x, out, term)[0]
 
 
 def _require_embeddable(dim: int) -> None:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_forge.brute import BLOCK_BYTES, block_depth, min_cost_search, node_count
+from oracle_forge.brute import (BLOCK_BYTES, SuffixBlock, block_depth, leaf_correctness,
+                                min_cost_search, node_count)
 from oracle_forge.cli import main as cli_main
 from oracle_forge.evaluate import GoalSpec, circuit_unitary, correctness
 from oracle_forge.gates import default_gate_set, extend_gate_set
-from oracle_forge.kron_apply import apply_structured, step_product
+from oracle_forge.kron_apply import (StructuredOperator, apply_block_step, apply_structured,
+                                     step_product)
 from oracle_forge.linalg import identity
 from oracle_forge.targets import builtin
 
@@ -138,6 +140,13 @@ def test_non_positive_eps_rejected(gs, eps):
         min_cost_search(builtin("entangle2"), 3, gs, eps=eps)
 
 
+@pytest.mark.parametrize("eps", [1.0, 2.0, float("inf")])
+def test_eps_of_one_or_more_rejected(gs, eps):
+    # the threshold 1 - eps would be at most 0, and every circuit a match
+    with pytest.raises(ValueError, match="^eps must be below 1, got "):
+        min_cost_search(builtin("entangle2"), 3, gs, eps=eps)
+
+
 def test_non_positive_eps_cli(capsys):
     code = cli_main(["brute", "--goal", "entangle2", "--max-gates", "3", "--eps", "0"])
     captured = capsys.readouterr()
@@ -262,3 +271,103 @@ def test_walk_child_product_matches_the_structured_kernel(gate_sets, m):
             # float views compare real and imaginary parts (zeros up to sign)
             assert np.array_equal(child.view(float), apply_structured(op, parent).view(float))
         assert parent.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_block_step_on_a_stack_equals_the_step_on_each_matrix(gate_sets, m):
+    rng = np.random.default_rng(m)
+    dim = 1 << m
+    kinds = set()
+    for gs in gate_sets:
+        for step in gs.table(m).steps:
+            kinds.add(step.kind)
+            x = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+            each = []
+            for matrix in x:
+                spare, term = np.empty((2, dim, dim), dtype=complex)
+                each.append(apply_block_step(step, matrix.copy(), spare, term)[0])
+            spare, term = np.empty((2, 3, dim, dim), dtype=complex)
+            got = apply_block_step(step, x.copy(), spare, term)[0]
+            assert got.tobytes() == np.stack(each).tobytes()
+    assert kinds == ({"wire", "diagonal", "permutation", "dense"} if m > 1
+                     else {"wire", "diagonal", "dense"})
+
+
+def structured_block_rows(operators, goal_conj, depth):
+    """The suffix block's rows as built with the structured kernel: each level
+    is every transposed operator applied to the level below, in preorder."""
+    n, dim = len(operators), goal_conj.shape[0]
+    subtree = [sum(n ** j for j in range(r + 1)) for r in range(depth + 1)]
+    rows = np.empty((subtree[depth] - 1, dim * dim), dtype=complex)
+    transposed = [StructuredOperator(op.m, op.gate.T, op.k) for op in operators]
+    level, pos = goal_conj[None], np.array([-1])
+    for d in range(1, depth + 1):
+        level = np.concatenate([apply_structured(op, level) for op in transposed])
+        child = (pos[:, None] + 1 + np.arange(n) * subtree[depth - d]).ravel()
+        rows[child] = level.reshape(-1, dim * dim)
+        pos = child
+    return rows
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+def test_suffix_block_rows_match_the_structured_build(gate_sets, m):
+    rng = np.random.default_rng(m)
+    goal_conj = random_unitary(rng, 1 << m).conj()
+    for gs in gate_sets:
+        table = gs.table(m)
+        operators = table.operators[1:]
+        depth = min(block_depth(len(operators), 1 << m, 100), 3)
+        block = SuffixBlock(operators, table.costs[1:], goal_conj, depth)
+        # complex == ignores the sign of an exact zero, which no correctness sees
+        assert np.array_equal(block.rows, structured_block_rows(operators, goal_conj, depth))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_family_leaf_correctness_is_the_walks_exactly(m):
+    rng = np.random.default_rng(m)
+    dim = 1 << m
+    goal_conj = random_unitary(rng, dim).conj()
+    leaves = np.stack([random_unitary(rng, dim) for _ in range(9)])
+    assert leaf_correctness(goal_conj, leaves) == [abs(np.sum(goal_conj * u)) / dim
+                                                   for u in leaves]
+
+
+def assert_matches_reference(goal, max_gates, gs):
+    report = min_cost_search(goal, max_gates, gs)
+    best_cost, witness, examined = reference_search(goal, max_gates, gs)
+    assert report.min_cost == best_cost
+    assert (report.witness is None) == (witness is None)
+    if witness is not None:
+        assert [(p.name, p.top) for p in report.witness] == [(p.name, p.top) for p in witness]
+    assert report.circuits_examined == examined
+    return report
+
+
+# on two qubits the default block holds every sequence of 1..3 gates, so a
+# budget of 3 + w walks w levels: the families are the nodes at depth w
+WALK_BLOCK = 3
+
+
+def test_family_hit_prunes_the_later_children(gs):
+    # T on qubit 1 is child 4 of the root's family at a budget of 4; its own
+    # match (cost 1) prunes every later child, all of cost 1 or more
+    table = gs.table(2)
+    t1 = table.index[("T", 1)]
+    goal = GoalSpec(2, circuit_unitary([table.cases[t1]], 2))
+    report = assert_matches_reference(goal, WALK_BLOCK + 1, gs)
+    assert [(p.name, p.top) for p in report.witness] == [("T", 1)]
+    assert t1 < len(table) - 1  # later children exist
+    # at most the root, the earlier children with their blocks, and T itself
+    block = node_count(8, WALK_BLOCK) - 1
+    assert report.circuits_examined <= 1 + (t1 - 1) * (1 + block) + 1
+
+
+@pytest.mark.parametrize("walk", [0, 1, 2])
+@pytest.mark.parametrize("name", ["entangle2", "swap", "controlled_s"])
+def test_family_path_matches_the_recursive_dfs(gs, walk, name):
+    assert block_depth(8, 4, 100) == WALK_BLOCK
+    report = assert_matches_reference(builtin(name), WALK_BLOCK + walk, gs)
+    if name == "entangle2" and walk == 2:
+        # H then CNOT: the optimum is a family member's own node
+        assert len(report.witness) == walk
+

@@ -397,6 +397,32 @@ def test_goal_file_with_a_negative_optimal_cost_exits_1(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: goal optimal_cost must be non-negative, got -3\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # a threshold of 1 - inf accepted the empty circuit as a match
+    (("brute", "--goal", "entangle2", "--max-gates", "3", "--eps", "inf"),
+     "eps must be below 1, got inf"),
+    (("brute", "--goal", "entangle2", "--max-gates", "3", "--eps", "1"),
+     "eps must be below 1, got 1.0"),
+    (("brute", "--goal", "entangle2", "--max-gates", "3", "--eps", "nan"),
+     "eps must be positive"),
+    # these ran to the end and printed fitness: nan
+    (("synth", "--goal", "entangle2", "--punish", "nan"), "award and punish must be finite"),
+    (("synth", "--goal", "entangle2", "--eps", "nan"), "eps must be positive"),
+    (("synth", "--goal", "entangle2", "--eps", "inf"), "eps must be below 1, got inf"),
+    (("synth", "--goal", "entangle2", "--award", "inf"), "award and punish must be finite"),
+    (("experiment", "--goal", "entangle2", "--runs", "1", "--punish-sweep", "20", "nan"),
+     "award and punish must be finite"),
+    (("experiment", "--goal", "entangle2", "--runs", "1", "--award=-inf"),
+     "award and punish must be finite"),
+])
+def test_non_finite_or_out_of_range_fitness_settings_exit_1(tmp_path, capsys, monkeypatch, argv,
+                                                             message):
+    monkeypatch.chdir(tmp_path)  # synth's default --out-dir
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_console_script_is_the_cli_main():
     import importlib
 
