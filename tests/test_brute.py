@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_forge.brute import (BLOCK_BYTES, SuffixBlock, block_depth, leaf_correctness,
-                                min_cost_search, node_count)
+from oracle_forge import brute
+from oracle_forge.brute import (BLOCK_BYTES, SuffixBlock, block_depth, min_cost_search,
+                                node_count, suffix_block)
 from oracle_forge.cli import main as cli_main
 from oracle_forge.evaluate import GoalSpec, circuit_unitary, correctness
 from oracle_forge.gates import default_gate_set, extend_gate_set
@@ -227,7 +228,8 @@ def gate_sets(tmp_path_factory):
        reachable=st.booleans(), eps=st.sampled_from([1e-6, 0.05, 0.4]))
 def test_blocked_search_matches_recursive_dfs(gate_sets, data, extended, m, depth, reachable,
                                               eps):
-    # The block sums each trace in another order than the reference, so only a
+    # The search scores a trace of O_seq G^dag, which sums in another order than
+    # the reference's and evaluate_circuit's overlap of G and O_seq, so only a
     # correctness within rounding of 1 - eps could be decided differently; these
     # goals put none there.
     gs = gate_sets[extended]
@@ -293,14 +295,16 @@ def test_block_step_on_a_stack_equals_the_step_on_each_matrix(gate_sets, m):
                      else {"wire", "diagonal", "dense"})
 
 
-def structured_block_rows(operators, goal_conj, depth):
-    """The suffix block's rows as built with the structured kernel: each level
-    is every transposed operator applied to the level below, in preorder."""
-    n, dim = len(operators), goal_conj.shape[0]
+def structured_block_rows(operators, depth):
+    """The suffix block's rows as built with the structured kernel from the
+    identity: each level is every transposed operator applied to the level
+    below, in preorder."""
+    n, dim = len(operators), operators[0].dim
     subtree = [sum(n ** j for j in range(r + 1)) for r in range(depth + 1)]
-    rows = np.empty((subtree[depth] - 1, dim * dim), dtype=complex)
+    rows = np.empty((subtree[depth], dim * dim), dtype=complex)
     transposed = [StructuredOperator(op.m, op.gate.T, op.k) for op in operators]
-    level, pos = goal_conj[None], np.array([-1])
+    level, pos = identity(dim)[None], np.array([0])
+    rows[0] = level.ravel()
     for d in range(1, depth + 1):
         level = np.concatenate([apply_structured(op, level) for op in transposed])
         child = (pos[:, None] + 1 + np.arange(n) * subtree[depth - d]).ravel()
@@ -311,25 +315,79 @@ def structured_block_rows(operators, goal_conj, depth):
 
 @pytest.mark.parametrize("m", range(1, 4))
 def test_suffix_block_rows_match_the_structured_build(gate_sets, m):
-    rng = np.random.default_rng(m)
-    goal_conj = random_unitary(rng, 1 << m).conj()
     for gs in gate_sets:
         table = gs.table(m)
         operators = table.operators[1:]
         depth = min(block_depth(len(operators), 1 << m, 100), 3)
-        block = SuffixBlock(operators, table.costs[1:], goal_conj, depth)
+        block = SuffixBlock(table, depth)
         # complex == ignores the sign of an exact zero, which no correctness sees
-        assert np.array_equal(block.rows, structured_block_rows(operators, goal_conj, depth))
+        assert np.array_equal(block.rows, structured_block_rows(operators, depth))
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-def test_family_leaf_correctness_is_the_walks_exactly(m):
-    rng = np.random.default_rng(m)
+def preorder(n, depth, seq=()):
+    """Every sequence of 0..depth gate indices below n, in DFS preorder."""
+    yield seq
+    if len(seq) < depth:
+        for g in range(n):
+            yield from preorder(n, depth, seq + (g,))
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+def test_suffix_block_row_zero_is_the_empty_sequence(gate_sets, m):
     dim = 1 << m
-    goal_conj = random_unitary(rng, dim).conj()
-    leaves = np.stack([random_unitary(rng, dim) for _ in range(9)])
-    assert leaf_correctness(goal_conj, leaves) == [abs(np.sum(goal_conj * u)) / dim
-                                                   for u in leaves]
+    for gs in gate_sets:
+        table = gs.table(m)
+        n = len(table) - 1
+        depth = min(block_depth(n, dim, 100), 3)
+        block = SuffixBlock(table, depth)
+        assert np.array_equal(block.rows[0], identity(dim).ravel())
+        assert (block.costs[0], block.gate[0], block.parent[0]) == (0, -1, -1)
+        sequences = list(preorder(n, depth))
+        assert len(block) == len(sequences) == node_count(n, depth)
+        for i, seq in enumerate(sequences):
+            assert block.sequence(i) == seq
+            assert block.costs[i] == sum(table.costs[1 + g] for g in seq)
+
+
+def test_queries_on_one_table_share_one_block(gate_sets, monkeypatch):
+    used = []
+
+    def recording(table, depth):
+        used.append(suffix_block(table, depth))
+        return used[-1]
+
+    monkeypatch.setattr(brute, "suffix_block", recording)
+    base, extended = gate_sets
+    for name in ("entangle2", "swap", "controlled_s", "entangle2"):
+        assert_matches_reference(builtin(name), 4, base)
+    assert len(used) == 4 and all(block is used[0] for block in used)
+    assert_matches_reference(builtin("entangle2"), 4, extended)
+    assert used[-1] is not used[0] and len(used[-1]) > len(used[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), extended=st.booleans(), m=st.integers(1, 4), reachable=st.booleans())
+def test_walk_correctness_is_the_evaluators_within_rounding(gate_sets, data, extended, m,
+                                                            reachable):
+    # the walk scores |tr(O_seq G^dag)| / dim, the evaluator |vdot(G, O_seq)| / dim
+    table = gate_sets[extended].table(m)
+    dim = 1 << m
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    seq = data.draw(st.lists(st.integers(1, len(table) - 1), max_size=6))
+    circuit = [table.cases[i] for i in seq]
+    if reachable:
+        matrix = circuit_unitary(circuit, m) * np.exp(2j * math.pi * rng.random())
+    else:
+        matrix = random_unitary(rng, dim)
+    goal = GoalSpec(m, matrix)
+    v = np.ascontiguousarray(matrix.conj().T)
+    term = np.empty((dim, dim), dtype=complex)
+    for i in seq:
+        v = step_product(table.steps[i], v, term)
+    expected = correctness(circuit_unitary(circuit, m), goal)
+    assert abs(abs(np.trace(v)) / dim - expected) <= 1e-12
+    # a family's own correctness: row 0 of its block product
+    assert abs(abs(identity(dim).ravel() @ v.ravel()) / dim - expected) <= 1e-12
 
 
 def assert_matches_reference(goal, max_gates, gs):

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -168,6 +169,24 @@ def test_brute_subcommand(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["min_cost"] == 3
+
+
+def test_brute_over_the_circuit_budget_exits_1_at_once(capsys):
+    # the guard stops counting circuits once the count passes the budget, so
+    # a huge gate budget neither builds a huge integer nor prints one
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "brute", "--goal", "entangle2", "--max-gates", "1000000")
+    assert time.perf_counter() - t0 < 0.5
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: over the circuit budget: the search would examine more than 100000000 circuits"]
+
+
+def test_brute_negative_circuit_budget_exits_1(capsys):
+    code, out, err = run(capsys, "brute", "--goal", "entangle2", "--max-gates", "3",
+                         "--budget", "-1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: the circuit budget must be non-negative, got -1"]
 
 
 def test_circuit_json_round_trips_through_verify(tmp_path, capsys):
