@@ -8,6 +8,9 @@ realizes it with this catalog, and the cheapest realization within eight
 gates costs 10 (two CNOTs and six one-qubit phase gates).  A search to nine
 gates (see tests/test_brute.py) proves 10 is the optimum, since any cheaper
 circuit has at most nine gates.
+
+The demo raises if a search finds another minimum, so a run that
+completes has confirmed each of them.
 """
 from oracle_forge.brute import min_cost_search
 from oracle_forge.codec import render_ascii
@@ -16,8 +19,10 @@ from oracle_forge.targets import builtin
 
 gs = default_gate_set()
 
-for name, depth in [("entangle2", 3), ("swap", 3), ("entangle3", 3),
-                    ("controlled_s", 5), ("controlled_s", 8)]:
+# (goal, search depth, whether a realization within that depth exists)
+for name, depth, reachable in [("entangle2", 3, True), ("swap", 3, True),
+                               ("entangle3", 3, True), ("controlled_s", 5, False),
+                               ("controlled_s", 8, True)]:
     goal = builtin(name)
     report = min_cost_search(goal, depth, gs)
     print(f"=== {name} (search depth {depth}, {report.circuits_examined} circuits) ===")
@@ -27,3 +32,7 @@ for name, depth in [("entangle2", 3), ("swap", 3), ("entangle3", 3),
         print(f"minimum cost: {report.min_cost}")
         print(render_ascii(report.witness, goal.num_qubits))
     print()
+    expected = goal.optimal_cost if reachable else None
+    if report.min_cost != expected:
+        raise SystemExit(f"{name} within {depth} gates: minimum {report.min_cost}, "
+                         f"expected {expected}")

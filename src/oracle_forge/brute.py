@@ -8,20 +8,29 @@ because gate costs are non-negative.
 The search is a depth-first walk on V = O_seq G^dag, the operator of a
 node's gate sequence times the goal's adjoint: the root is G^dag and a
 node's correctness |tr V| / 2^m.  Only the top `max_gates - L` levels are
-walked, and all but the last of them node by node.  Each node's V is its
-parent's times its last placement's block step (see `kron_apply.BlockStep`),
-written into a new array so that the parent's stays whole for its siblings;
-a block step equals the structured product bit for bit up to the sign of an
-exact zero, which no correctness sees.  A node on the walk's second-to-last
-level writes its live children (those cheaper than the best so far), a
-family, into one stack, scored in one product with a suffix block: a child
-V followed by a sequence s has correctness |vec(O_s^T) . vec(V)| / 2^m, and
-the block holds vec(O_s^T) for every s of 0..L gates in DFS preorder.  It
-holds no goal, so it is built once per placement table and L and kept.  A
-family with no match anywhere is counted in one step; otherwise the walk's
-prune and best-update rules are replayed over its children in order, each
-with its block column, with array operations.  So the result, the witness
-and the number of circuits examined are those of the node-by-node walk.
+walked.  Each node's V is its parent's times its last placement's block
+step (see `kron_apply.BlockStep`), written into a new array so that the
+parent's stays whole for its siblings; a block step equals the structured
+product bit for bit up to the sign of an exact zero, which no correctness
+sees.  A node's correctness followed by a sequence s is
+|vec(O_s^T) . vec(V)| / 2^m, and a suffix block holds vec(O_s^T) for every
+s of 0..L gates in DFS preorder.  It holds no goal, so it is built once per
+placement table and L and kept.
+
+The walk's last c levels are scored a clan at a time.  A node c levels above
+the walk's last level (the clan's root) builds all of its descendants down
+to that level as stacks, one level at a time with one block step per
+placement on the whole level, and scores every leaf with one product with
+the block.  Its inner nodes are then walked in preorder, and each
+last-level family (the children of one inner node) is scored from its
+columns of that product: a family with no match anywhere is counted in one
+step; otherwise each live child is counted on its own, one whose column
+matches by replaying the walk's prune and best-update rules over that
+column with array operations.  Leaves below a pruned node are computed but
+never counted, so the result, the witness and the number of circuits
+examined are those of the node-by-node walk.  c is the largest number of
+walk levels whose stacks and leaf product each fit in BLOCK_BYTES: 2 on two
+and three qubits with the default gates, 1 on four.
 Both traces sum in another order than `evaluate.correctness`, so a node
 within rounding (about 1e-12) of `1 - eps` may be decided differently from
 `evaluate_circuit`.
@@ -40,8 +49,9 @@ from .kron_apply import StructuredOperator, block_step, step_product
 from .kron_apply import apply_structured  # noqa: F401  perfbench/tracing.py wraps it here
 from .linalg import identity
 
-# Memory for the suffix block's rows of 1..L gates; fixes its depth L for a
-# given qubit count and gate set.  The empty sequence's row is one more.
+# Memory for the suffix block's rows of 1..L gates, which fixes its depth L
+# for a given qubit count and gate set (the empty sequence's row is one
+# more), and again for a clan's stacks and for its leaves' block product.
 BLOCK_BYTES = 1 << 20
 
 
@@ -85,6 +95,17 @@ def block_depth(n_gates: int, dim: int, max_gates: int) -> int:
         if rows * row_bytes > BLOCK_BYTES:
             break
         depth += 1
+    return depth
+
+
+def clan_depth(n_gates: int, dim: int, walk_depth: int, block_rows: int) -> int:
+    """Largest c <= walk_depth such that a clan's c levels below its root,
+    as stacks, and its leaves' product with a block of `block_rows` rows
+    each fit in BLOCK_BYTES."""
+    # the stacks hold as many matrices as a block of depth c has rows of 1..c gates
+    depth = block_depth(n_gates, dim, walk_depth)
+    while depth and block_rows * n_gates ** depth * 16 > BLOCK_BYTES:
+        depth -= 1
     return depth
 
 
@@ -153,16 +174,11 @@ class SuffixBlock:
         and the preorder index of the node that lowers the best, or None.
         """
         hits = np.flatnonzero(corr >= threshold)
-        if bound is None and hits.size == 0:
-            examined = len(self)
-        elif hits.size == 0:
-            examined = int(np.searchsorted(self.sorted_costs, bound))
-        else:
-            # the best before node i: the bound, lowered by every earlier hit
-            limit = np.full(len(self) + 1, np.iinfo(np.int64).max if bound is None else bound)
-            limit[hits + 1] = np.minimum(limit[hits + 1], self.costs[hits])
-            limit = np.minimum.accumulate(limit)
-            examined = int(np.count_nonzero(self.costs < limit[:-1]))
+        # the best before node i: the bound, lowered by every earlier hit
+        limit = np.full(len(self) + 1, np.iinfo(np.int64).max if bound is None else bound)
+        limit[hits + 1] = np.minimum(limit[hits + 1], self.costs[hits])
+        limit = np.minimum.accumulate(limit)
+        examined = int(np.count_nonzero(self.costs < limit[:-1]))
         if hits.size == 0:
             return examined, None
         hit_costs = self.costs[hits]
@@ -199,74 +215,122 @@ def min_cost_search(
     table = gs.table(goal.num_qubits)
     placements = table.cases[1:]  # index 0 is the wire
     steps = table.steps[1:]
-    costs = table.costs[1:].tolist()
-    if node_count(len(placements), max_gates, stop=budget) > budget:
+    n = len(steps)
+    if node_count(n, max_gates, stop=budget) > budget:
         raise ValueError(f"over the circuit budget: the search would examine more than "
                          f"{budget} circuits")
 
     dim = goal.dim
     threshold = 1.0 - eps
-    depth = block_depth(len(placements), dim, max_gates)
+    depth = block_depth(n, dim, max_gates)
     block = suffix_block(table, depth)
     walk_depth = max_gates - depth
+    clan = clan_depth(n, dim, walk_depth, len(block))
+
+    # each clan level's costs relative to the clan's root: node i of level d
+    # is the sequence g_1 .. g_d with i = g_1 + g_2 n + .. + g_d n^(d-1), the
+    # order in which the levels' stacks are built
+    rel_costs = [np.zeros(1, dtype=np.int64)]
+    for _ in range(clan):
+        rel_costs.append(np.add.outer(table.costs[1:], rel_costs[-1]).ravel())
+    inner_costs = [level.tolist() for level in rel_costs[:-1]]
+    # row p: the leaves below node p of the last inner level, in preorder
+    # (with no inner level, the clan's root alone)
+    families = np.arange(len(rel_costs[-1])).reshape(n if clan else 1, -1).T
+    family_costs = rel_costs[-1][families]
+
+    def path(i: int, d: int) -> tuple:
+        """The gates from a clan's root to node i of its level d."""
+        return tuple(i // n ** j % n for j in range(d))
 
     best_cost: int | None = None
     best_seq: tuple | None = None
     examined = 0
-    term = np.empty((dim, dim), dtype=complex)
-    leaves = np.empty((len(steps), dim, dim), dtype=complex)
 
-    def score_family(family: list) -> None:
-        """Examine the walk's last-level nodes `family`, (cost, gate indices)
-        pairs in preorder whose V are leaves[:len(family)], each with the
-        sequences of its block below it."""
+    def score_clan(cost: int, seq: tuple, v: np.ndarray) -> None:
+        """Examine the node (cost, seq) with operator v and the clan's
+        levels below it, in the walk's preorder."""
         nonlocal best_cost, best_seq, examined
-        k = len(family)
+        levels = [v[None]]
+        for _ in range(clan):
+            level, b = levels[-1], len(levels[-1])
+            out = np.empty((n * b, dim, dim), dtype=complex)
+            term = np.empty_like(level)
+            for g, step in enumerate(steps):
+                step_product(step, level, term, out[g * b:(g + 1) * b])
+            levels.append(out)
+        leaves = levels.pop()
         # |tr(O_s V)|, so dim times the correctness: dim is a power of two,
         # so comparing it with dim * threshold decides as the correctness does
-        mag = np.abs(block.rows @ leaves[:k].reshape(k, -1).T)
-        if mag.max() < dim * threshold:
-            # nothing matches, so the best stays and bounds every block alike
-            if best_cost is None:
-                examined += k * len(block)
-            else:
-                bounds = best_cost - np.array([cost for cost, _ in family])
-                examined += int(np.searchsorted(block.sorted_costs, bounds).sum())
-            return
-        for j, (cost, seq) in enumerate(family):
-            bound = None if best_cost is None else best_cost - cost
-            n, hit = block.replay(mag[:, j] / dim, threshold, bound)
-            examined += n
-            if hit is not None:
-                best_cost = cost + int(block.costs[hit])
-                best_seq = seq + block.sequence(hit)
+        mag = np.abs(block.rows @ leaves.reshape(len(leaves), -1).T)
+        leaf_hit = mag.max(axis=0) >= dim * threshold
+        family_hit = leaf_hit[families].any(axis=1).tolist()
+        leaf_hit = leaf_hit.tolist()
+        own_hit = [(np.abs(np.trace(level, axis1=1, axis2=2)) / dim >= threshold).tolist()
+                   for level in levels]
 
-    root = np.ascontiguousarray(goal.matrix.conj().T)
-    if walk_depth == 0:
-        leaves[0] = root
-        score_family([(0, ())])
-    # (cost, gate indices, V before the last gate); popping a node applies
-    # its last gate, so pruned nodes cost no product.  The parent's V stays
-    # on the stack for its siblings, so each child is a new array.
-    stack = [(0, (), root)] if walk_depth else []
+        def score_family(p: int) -> None:
+            nonlocal best_cost, best_seq, examined
+            if not family_hit[p]:
+                # nothing matches, so the best stays and bounds every block
+                # alike; a pruned leaf's bound is at most 0 and counts nothing
+                if best_cost is None:
+                    examined += families.shape[1] * len(block)
+                else:
+                    bounds = best_cost - cost - family_costs[p]
+                    examined += int(np.searchsorted(block.sorted_costs, bounds).sum())
+                return
+            for j, leaf_cost in zip(families[p].tolist(), (cost + family_costs[p]).tolist()):
+                if best_cost is not None and leaf_cost >= best_cost:
+                    continue  # pruned: it would count nothing, but costs a replay
+                bound = None if best_cost is None else best_cost - leaf_cost
+                if not leaf_hit[j]:
+                    examined += (len(block) if bound is None
+                                 else int(np.searchsorted(block.sorted_costs, bound)))
+                    continue
+                k, hit = block.replay(mag[:, j] / dim, threshold, bound)
+                examined += k
+                if hit is not None:
+                    best_cost = leaf_cost + int(block.costs[hit])
+                    best_seq = seq + path(j, clan) + block.sequence(hit)
+
+        if not clan:
+            score_family(0)
+            return
+        stack = [(0, 0)]  # the inner nodes as (level, index)
+        while stack:
+            d, i = stack.pop()
+            node_cost = cost + inner_costs[d][i]
+            if best_cost is not None and node_cost >= best_cost:
+                continue
+            examined += 1
+            if own_hit[d][i]:
+                best_cost, best_seq = node_cost, seq + path(i, d)
+            if d < clan - 1:
+                stack.extend((d + 1, i + g * n ** d) for g in reversed(range(n)))
+            else:
+                score_family(i)
+
+    # the walk above the clans' roots, node by node: (cost, gate indices, V
+    # before the last gate); popping a node applies its last gate, so pruned
+    # nodes cost no product.  The parent's V stays on the stack for its
+    # siblings, so each child is a new array.
+    costs = table.costs[1:].tolist()
+    term = np.empty((dim, dim), dtype=complex)
+    stack = [(0, (), np.ascontiguousarray(goal.matrix.conj().T))]
     while stack:
         cost, seq, v = stack.pop()
         if best_cost is not None and cost >= best_cost:
             continue
         if seq:
             v = step_product(steps[seq[-1]], v, term)
-        examined += 1
-        if abs(np.trace(v)) / dim >= threshold and (best_cost is None or cost < best_cost):
-            best_cost, best_seq = cost, seq
-        if len(seq) < walk_depth - 1:
-            stack.extend((cost + costs[i], seq + (i,), v) for i in reversed(range(len(costs))))
+        if len(seq) == walk_depth - clan:
+            score_clan(cost, seq, v)
             continue
-        # the children are the walk's last level: a family
-        live = [i for i, c in enumerate(costs) if best_cost is None or cost + c < best_cost]
-        for j, i in enumerate(live):
-            step_product(steps[i], v, term, leaves[j])
-        if live:
-            score_family([(cost + costs[i], seq + (i,)) for i in live])
+        examined += 1
+        if abs(np.trace(v)) / dim >= threshold:
+            best_cost, best_seq = cost, seq
+        stack.extend((cost + costs[i], seq + (i,), v) for i in reversed(range(n)))
 
     witness = None if best_seq is None else [placements[i] for i in best_seq]
     return SearchReport(min_cost=best_cost, witness=witness, circuits_examined=examined)

@@ -237,6 +237,9 @@ def benchmark_triple(m: int, n: int, k: int, rng: np.random.Generator) -> BenchR
 def benchmark_sweep(max_total: int = 64, seed: int = 0, triples=None) -> list[BenchRow]:
     """Benchmark all power-of-two triples with m*n*k <= max_total (or the given triples)."""
     if triples is None:
+        if max_total < 2:
+            # the smallest triple, (1, 2, 1), has m*n*k = 2
+            raise ValueError(f"max_total must be at least 2, got {max_total}")
         triples = []
         p = 1
         pows = []

@@ -1,17 +1,18 @@
 """The exhaustive verifier, and its blocked search against the plain recursive DFS."""
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_forge import brute
-from oracle_forge.brute import (BLOCK_BYTES, SuffixBlock, block_depth, min_cost_search,
-                                node_count, suffix_block)
+from oracle_forge.brute import (BLOCK_BYTES, SuffixBlock, block_depth, clan_depth,
+                                min_cost_search, node_count, suffix_block)
 from oracle_forge.cli import main as cli_main
 from oracle_forge.evaluate import GoalSpec, circuit_unitary, correctness
-from oracle_forge.gates import default_gate_set, extend_gate_set
+from oracle_forge.gates import GateSet, default_gate_set, extend_gate_set
 from oracle_forge.kron_apply import (StructuredOperator, apply_block_step, apply_structured,
                                      step_product)
 from oracle_forge.linalg import identity
@@ -162,6 +163,18 @@ def test_zero_gate_budget_examines_the_root_only(gs):
     assert report.min_cost == 0 and report.witness == [] and report.circuits_examined == 1
 
 
+@pytest.mark.parametrize("max_gates", range(4))
+def test_a_gate_set_with_no_placement_examines_the_root_only(gs, max_gates):
+    # a two-qubit gate has no placement on one qubit, so only the root exists
+    no_placement = GateSet(one_qubit=(), two_qubit=gs.two_qubit)
+    assert len(no_placement.table(1)) == 1
+    report = min_cost_search(GoalSpec(1, identity(2)), max_gates, no_placement)
+    assert (report.min_cost, report.witness, report.circuits_examined) == (0, [], 1)
+    x = GoalSpec(1, np.array([[0, 1], [1, 0]], dtype=complex))
+    report = min_cost_search(x, max_gates, no_placement)
+    assert (report.min_cost, report.witness, report.circuits_examined) == (None, None, 1)
+
+
 def test_block_depth_fits_the_block_memory():
     # default gate set: 8 placements on 2 qubits, 13 on 3
     assert block_depth(8, 4, 100) == 3
@@ -171,6 +184,24 @@ def test_block_depth_fits_the_block_memory():
     for n, dim in ((3, 2), (8, 4), (13, 8), (20, 8)):
         depth = block_depth(n, dim, 100)
         assert node_count(n, depth) - 1 <= BLOCK_BYTES // (16 * dim * dim) < node_count(n, depth + 1) - 1
+
+
+def test_clan_depth_fits_the_block_memory():
+    # default gate set: two walk levels on two and three qubits, one on four
+    assert clan_depth(8, 4, 100, 585) == 2
+    assert clan_depth(13, 8, 100, 183) == 2
+    assert clan_depth(18, 16, 100, 19) == 1
+    assert clan_depth(8, 4, 1, 585) == 1  # capped at the walk depth
+    assert clan_depth(8, 4, 0, 585) == 0
+    assert clan_depth(0, 2, 5, 1) == 0
+    for n, dim in ((3, 2), (8, 4), (13, 8), (18, 16), (20, 8)):
+        rows = node_count(n, block_depth(n, dim, 100))
+        c = clan_depth(n, dim, 100, rows)
+        # the clan's levels and its leaves' product fit; one more level does not
+        assert (node_count(n, c) - 1) * 16 * dim * dim <= BLOCK_BYTES
+        assert rows * n ** c * 16 <= BLOCK_BYTES
+        assert ((node_count(n, c + 1) - 1) * 16 * dim * dim > BLOCK_BYTES
+                or rows * n ** (c + 1) * 16 > BLOCK_BYTES)
 
 
 def reference_search(goal, max_gates, gs, eps=1e-6, prune=True):
@@ -222,37 +253,71 @@ def gate_sets(tmp_path_factory):
     return base, extend_gate_set(base, path)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), extended=st.booleans(), m=st.integers(1, 3),
-       depth=st.sampled_from(["zero", "one", "block", "deeper"]),
-       reachable=st.booleans(), eps=st.sampled_from([1e-6, 0.05, 0.4]))
-def test_blocked_search_matches_recursive_dfs(gate_sets, data, extended, m, depth, reachable,
-                                              eps):
-    # The search scores a trace of O_seq G^dag, which sums in another order than
-    # the reference's and evaluate_circuit's overlap of G and O_seq, so only a
-    # correctness within rounding of 1 - eps could be decided differently; these
-    # goals put none there.
-    gs = gate_sets[extended]
-    table = gs.table(m)
-    n_gates = len(table) - 1
-    block = block_depth(n_gates, 1 << m, 100)
-    max_gates = {"zero": 0, "one": 1, "block": block, "deeper": block + 1}[depth]
-    seed = data.draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
+def draw_goal(data, table, m, reachable):
+    """A random unitary, or the unitary of a random circuit of up to four
+    placements of the table, times a random phase."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     if reachable:
         length = data.draw(st.integers(0, 4))
         circuit = [table.cases[i] for i in rng.integers(1, len(table), length)]
         matrix = circuit_unitary(circuit, m) * np.exp(2j * math.pi * rng.random())
     else:
         matrix = random_unitary(rng, 1 << m)
-    goal = GoalSpec(m, matrix)
-    report = min_cost_search(goal, max_gates, gs, eps=eps)
-    best_cost, witness, examined = reference_search(goal, max_gates, gs, eps=eps)
-    assert report.min_cost == best_cost
-    assert (report.witness is None) == (witness is None)
-    if witness is not None:
-        assert [(p.name, p.top) for p in report.witness] == [(p.name, p.top) for p in witness]
-    assert report.circuits_examined == examined
+    return GoalSpec(m, matrix)
+
+
+# The search scores a trace of O_seq G^dag, which sums in another order than
+# the reference's and evaluate_circuit's overlap of G and O_seq, so only a
+# correctness within rounding of 1 - eps could be decided differently; the
+# drawn goals put none there.
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), extended=st.booleans(), m=st.integers(1, 3),
+       depth=st.sampled_from(["zero", "one", "block", "deeper"]),
+       reachable=st.booleans(), eps=st.sampled_from([1e-6, 0.05, 0.4]))
+def test_blocked_search_matches_recursive_dfs(gate_sets, data, extended, m, depth, reachable,
+                                              eps):
+    gs = gate_sets[extended]
+    table = gs.table(m)
+    block = block_depth(len(table) - 1, 1 << m, 100)
+    max_gates = {"zero": 0, "one": 1, "block": block, "deeper": block + 1}[depth]
+    assert_matches_reference(draw_goal(data, table, m, reachable), max_gates, gs, eps)
+
+
+def small_gate_set(base, name):
+    """One of the default gates alone: few placements, so that a clan can
+    span three walk levels."""
+    if name == "CNOT":
+        return GateSet(one_qubit=(), two_qubit=base.two_qubit)
+    return GateSet(one_qubit=tuple(g for g in base.one_qubit if g.name == name), two_qubit=())
+
+
+# (gate set, m, BLOCK_BYTES, max_gates, (L, c)): a smaller block memory makes
+# the block depth L small and lets the clan depth c reach 2, or 3 where the
+# leaves' product fits, with reference trees of at most a few thousand nodes
+@pytest.mark.parametrize("name, m, block_bytes, max_gates, expected", [
+    ("default", 1, 64, 3, (0, 0)),  # every last-level node is a clan of its own
+    ("default", 1, 1000, 4, (2, 1)),  # c held below L by the leaves' product
+    ("default", 1, 1872, 4, (2, 2)),  # one clan, rooted at the root
+    ("default", 1, 1872, 5, (2, 2)),  # clans rooted one level down
+    ("default", 2, 74752, 4, (2, 2)),
+    ("CNOT", 2, 4096, 6, (3, 3)),
+    ("CNOT", 2, 4096, 7, (3, 3)),
+    ("H", 3, 40960, 6, (3, 3)),
+])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), reachable=st.booleans(), eps=st.sampled_from([1e-6, 0.05, 0.4]))
+def test_clan_search_matches_recursive_dfs(gate_sets, name, m, block_bytes, max_gates, expected,
+                                           data, reachable, eps):
+    gs = gate_sets[0] if name == "default" else small_gate_set(gate_sets[0], name)
+    table = gs.table(m)
+    n_gates = len(table) - 1
+    goal = draw_goal(data, table, m, reachable)
+    with mock.patch.object(brute, "BLOCK_BYTES", block_bytes):
+        block = block_depth(n_gates, 1 << m, max_gates)
+        clan = clan_depth(n_gates, 1 << m, max_gates - block, node_count(n_gates, block))
+        assert (block, clan) == expected
+        assert_matches_reference(goal, max_gates, gs, eps)
 
 
 @pytest.mark.parametrize("m", range(1, 5))
@@ -390,9 +455,9 @@ def test_walk_correctness_is_the_evaluators_within_rounding(gate_sets, data, ext
     assert abs(abs(identity(dim).ravel() @ v.ravel()) / dim - expected) <= 1e-12
 
 
-def assert_matches_reference(goal, max_gates, gs):
-    report = min_cost_search(goal, max_gates, gs)
-    best_cost, witness, examined = reference_search(goal, max_gates, gs)
+def assert_matches_reference(goal, max_gates, gs, eps=1e-6):
+    report = min_cost_search(goal, max_gates, gs, eps=eps)
+    best_cost, witness, examined = reference_search(goal, max_gates, gs, eps=eps)
     assert report.min_cost == best_cost
     assert (report.witness is None) == (witness is None)
     if witness is not None:
@@ -402,7 +467,8 @@ def assert_matches_reference(goal, max_gates, gs):
 
 
 # on two qubits the default block holds every sequence of 1..3 gates, so a
-# budget of 3 + w walks w levels: the families are the nodes at depth w
+# budget of 3 + w walks w levels, and the clans span min(w, 2) of them: the
+# families are the nodes at depth w
 WALK_BLOCK = 3
 
 
@@ -420,12 +486,32 @@ def test_family_hit_prunes_the_later_children(gs):
     assert report.circuits_examined <= 1 + (t1 - 1) * (1 + block) + 1
 
 
+def test_clan_first_family_hit_prunes_later_parents_and_families(gs):
+    # At a budget of 5 one clan spans the root, its 8 children (the parents)
+    # and their 64 children (the families).  S on qubit 0 then T on qubit 1
+    # is child 4 of the first family; its own match (cost 2) prunes the rest
+    # of that family, the two CNOT parents (cost 2) and every later family,
+    # whose members all cost 2 or more.
+    table = gs.table(2)
+    s0, t1 = table.index[("S", 0)], table.index[("T", 1)]
+    assert s0 == 1  # the first parent
+    goal = GoalSpec(2, circuit_unitary([table.cases[s0], table.cases[t1]], 2))
+    report = assert_matches_reference(goal, WALK_BLOCK + 2, gs)
+    assert [(p.name, p.top) for p in report.witness] == [("S", 0), ("T", 1)]
+    later_parents = int(np.count_nonzero(table.costs[s0 + 1:] == 1))  # S1, T0, T1, H0, H1
+    assert later_parents == 5
+    # at most the root, S0, its earlier children with their blocks, S0 T1
+    # itself, and the later cost-1 parents with no family
+    block = node_count(8, WALK_BLOCK)
+    assert report.circuits_examined <= 2 + (t1 - 1) * block + 1 + later_parents
+
+
 @pytest.mark.parametrize("walk", [0, 1, 2])
 @pytest.mark.parametrize("name", ["entangle2", "swap", "controlled_s"])
 def test_family_path_matches_the_recursive_dfs(gs, walk, name):
     assert block_depth(8, 4, 100) == WALK_BLOCK
+    assert clan_depth(8, 4, walk, node_count(8, WALK_BLOCK)) == walk
     report = assert_matches_reference(builtin(name), WALK_BLOCK + walk, gs)
     if name == "entangle2" and walk == 2:
         # H then CNOT: the optimum is a family member's own node
         assert len(report.witness) == walk
-

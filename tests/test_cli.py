@@ -164,6 +164,13 @@ def test_bench_matmul_sweep_csv(tmp_path, capsys):
     assert len(lines) > 5
 
 
+@pytest.mark.parametrize("max_total", ["1", "0", "-5"])
+def test_bench_matmul_with_no_triple_exits_1(capsys, max_total):
+    code, out, err = run(capsys, "bench-matmul", "--max-total", max_total)
+    assert code == 1 and out == ""
+    assert err.strip().splitlines() == [f"error: max_total must be at least 2, got {max_total}"]
+
+
 def test_brute_subcommand(capsys):
     code, out, _ = run(capsys, "brute", "--goal", "entangle2", "--max-gates", "3")
     assert code == 0

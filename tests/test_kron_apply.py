@@ -136,6 +136,13 @@ def test_benchmark_triple_checks_the_size_before_it_allocates(monkeypatch):
         benchmark_triple(1, 2, 1024, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("max_total", [1, 0, -5])
+def test_benchmark_sweep_rejects_a_bound_below_the_smallest_triple(max_total):
+    # no triple has m*n*k below 2, so the sweep would be empty
+    with pytest.raises(ValueError, match=f"^max_total must be at least 2, got {max_total}$"):
+        benchmark_sweep(max_total=max_total)
+
+
 def test_benchmark_sweep_rows():
     # the sweep `bench-matmul` and demos/kron_speedup.py print: random dense
     # gates have no zero entry, so every row counts m^2 n^3 k^2
