@@ -15,7 +15,7 @@ product bit for bit up to the sign of an exact zero, which no correctness
 sees.  A node's correctness followed by a sequence s is
 |vec(O_s^T) . vec(V)| / 2^m, and a suffix block holds vec(O_s^T) for every
 s of 0..L gates in DFS preorder.  It holds no goal, so it is built once per
-placement table and L and kept.
+placement table and L and kept on the table.
 
 The walk's last c levels are scored a clan at a time.  A node c levels above
 the walk's last level (the clan's root) builds all of its descendants down
@@ -38,12 +38,11 @@ within rounding (about 1e-12) of `1 - eps` may be decided differently from
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import GoalSpec, require_eps
+from .evaluate import FitnessParams, GoalSpec, require_eps
 from .gates import GateSet, PlacementTable
 from .kron_apply import StructuredOperator, block_step, step_product
 from .kron_apply import apply_structured  # noqa: F401  perfbench/tracing.py wraps it here
@@ -98,6 +97,17 @@ def block_depth(n_gates: int, dim: int, max_gates: int) -> int:
     return depth
 
 
+def expand(steps, level: np.ndarray) -> np.ndarray:
+    """Every block step applied to the whole stack `level`, step-major: matrix
+    g * len(level) + i of the result is step g applied to level[i]."""
+    b = len(level)
+    out = np.empty((len(steps) * b,) + level.shape[1:], dtype=complex)
+    term = np.empty(level.shape, dtype=complex)
+    for g, step in enumerate(steps):
+        step_product(step, level, term, out[g * b:(g + 1) * b])
+    return out
+
+
 def clan_depth(n_gates: int, dim: int, walk_depth: int, block_rows: int) -> int:
     """Largest c <= walk_depth such that a clan's c levels below its root,
     as stacks, and its leaves' product with a block of `block_rows` rows
@@ -121,8 +131,7 @@ class SuffixBlock:
     def __init__(self, table: PlacementTable, depth: int):
         operators, op_costs = table.operators[1:], table.costs[1:]
         n, dim = len(operators), table.cols.shape[1]  # cols holds 2^m rows per placement
-        subtree = [sum(n ** j for j in range(r + 1)) for r in range(depth + 1)]
-        size = subtree[depth]
+        size = node_count(n, depth)
         self.rows = np.empty((size, dim * dim), dtype=complex)
         self.costs = np.empty(size, dtype=np.int64)
         self.gate = np.empty(size, dtype=np.int64)
@@ -138,14 +147,9 @@ class SuffixBlock:
             # both build orders list a depth's sequences lexicographically, the
             # first gate most significant: (g, t) is row g * n^(d-1) + t, and
             # s + (g,) is row s * n + g
-            b = len(level)
-            term = np.empty((b, dim, dim), dtype=complex)
-            out = np.empty((n * b, dim, dim), dtype=complex)
-            for g, step in enumerate(steps):
-                step_product(step, level, term, out[g * b:(g + 1) * b])
-            level = out
+            level = expand(steps, level)
             # preorder: s + (g,) follows s and the subtrees of s + (0,) .. s + (g-1,)
-            child = (pos[:, None] + 1 + gates * subtree[depth - d]).ravel()
+            child = (pos[:, None] + 1 + gates * node_count(n, depth - d)).ravel()
             self.rows[child] = level.reshape(-1, dim * dim)
             self.costs[child] = (self.costs[pos][:, None] + op_costs).ravel()
             self.gate[child] = np.tile(gates, len(pos))
@@ -188,23 +192,11 @@ class SuffixBlock:
         return examined, int(hits[first])
 
 
-_BLOCKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def suffix_block(table: PlacementTable, depth: int) -> SuffixBlock:
-    """The table's suffix block of the given depth, built on first use and then kept."""
-    kept = _BLOCKS.setdefault(table, {})
-    block = kept.get(depth)
-    if block is None:
-        block = kept[depth] = SuffixBlock(table, depth)
-    return block
-
-
 def min_cost_search(
     goal: GoalSpec,
     max_gates: int,
     gs: GateSet,
-    eps: float = 1e-6,
+    eps: float = FitnessParams.eps,
     budget: int = 10 ** 8,
 ) -> SearchReport:
     if max_gates < 0:
@@ -223,7 +215,7 @@ def min_cost_search(
     dim = goal.dim
     threshold = 1.0 - eps
     depth = block_depth(n, dim, max_gates)
-    block = suffix_block(table, depth)
+    block = table.kept((SuffixBlock, depth), lambda: SuffixBlock(table, depth))
     walk_depth = max_gates - depth
     clan = clan_depth(n, dim, walk_depth, len(block))
 
@@ -253,12 +245,7 @@ def min_cost_search(
         nonlocal best_cost, best_seq, examined
         levels = [v[None]]
         for _ in range(clan):
-            level, b = levels[-1], len(levels[-1])
-            out = np.empty((n * b, dim, dim), dtype=complex)
-            term = np.empty_like(level)
-            for g, step in enumerate(steps):
-                step_product(step, level, term, out[g * b:(g + 1) * b])
-            levels.append(out)
+            levels.append(expand(steps, levels[-1]))
         leaves = levels.pop()
         # |tr(O_s V)|, so dim times the correctness: dim is a power of two,
         # so comparing it with dim * threshold decides as the correctness does

@@ -27,7 +27,6 @@ place, gate by gate, through the placements' `BlockStep`s.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -190,7 +189,7 @@ def row_sparse_correctness(indices: np.ndarray, table: PlacementTable, goal: Goa
     dim = goal.dim
     check_reads(table, dim)
     check_indices(indices, table)
-    scratch = row_sparse_scratch(table)
+    scratch = kernel_scratch(RowSparseScratch, table)
     depth = min(scratch.depth, indices.shape[1])
     # a row shorter than the table's depth pads its prefix with wires (index 0)
     place = len(table) ** np.arange(scratch.depth - 1, scratch.depth - 1 - depth, -1)
@@ -269,14 +268,13 @@ class RowSparseScratch:
     each, and `reads` and `first` half that, so a scratch keeps at most
     6 x CHUNK_BYTES (1.5 MiB) plus the w x N matrices of `spread`: 1.3 to
     1.5 MiB in all for the default gates on one to four qubits.  The kernel
-    keeps one per live placement table it has scored, built for the
-    CHUNK_BYTES of that time.  It is not for concurrent use.
+    keeps one on each placement table it scores (see `kernel_scratch`).  It
+    is not for concurrent use.
     """
 
     def __init__(self, table: PlacementTable):
         n, dim, width = table.cols.shape
         matrix = 16 * dim * dim
-        self.budget = CHUNK_BYTES
         self.chunk = max(1, CHUNK_BYTES // matrix)
         self.lams = np.empty((3, self.chunk, dim, dim), dtype=complex)
         self.reads = np.empty((self.chunk, dim, width), dtype=np.intp)
@@ -292,21 +290,9 @@ class RowSparseScratch:
         self.prefixes = apply_positions(sequences, table, self).copy()
 
 
-_SCRATCH: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def kernel_scratch(kind: type, table: PlacementTable):
-    """The table's scratch of class `kind`, built on first use or when CHUNK_BYTES changed."""
-    kept = _SCRATCH.setdefault(table, {})
-    scratch = kept.get(kind)
-    if scratch is None or scratch.budget != CHUNK_BYTES:
-        scratch = kept[kind] = kind(table)
-    return scratch
-
-
-def row_sparse_scratch(table: PlacementTable) -> RowSparseScratch:
-    """The table's `RowSparseScratch`."""
-    return kernel_scratch(RowSparseScratch, table)
+    """The scratch of class `kind` for the table and the current CHUNK_BYTES, kept on the table."""
+    return table.kept((kind, CHUNK_BYTES), lambda: kind(table))
 
 
 def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec) -> np.ndarray:
@@ -448,7 +434,6 @@ class BlockScratch:
 
     def __init__(self, table: PlacementTable):
         _, dim, width = table.cols.shape
-        self.budget = CHUNK_BYTES
         narrow = (table.width == 1)[:, None, None]
         self.read = np.where(narrow, table.cols[..., :1] * width + np.arange(width),
                              table.cols * width)

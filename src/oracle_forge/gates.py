@@ -14,7 +14,8 @@ Placement index convention (fixed for reproducibility):
 `GateSet.table(m)` builds the placements on m qubits once, with their
 costs, structured operators, block steps and row-sparse form, and keeps
 them for later calls; the codec, the evaluators, the engine and the
-verifier all read that one table.
+verifier all read that one table, and keep what they build from it (kernel
+buffers, suffix blocks) on it with `PlacementTable.kept`.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kron_apply import StructuredOperator, block_step
-from .linalg import as_matrix, require_unitary
+from .linalg import DEFAULT_MAX_DIM, as_matrix, require_unitary
 
 WIRE = "wire"
 
@@ -104,6 +105,9 @@ class PlacementTable:
     increasing order with the weights `vals[i, r, :]`.  The terms past a
     row's nonzeros, up to the table's widest row, have weight 0 on row 0.
     The wire is the identity: one term of weight 1 per row.
+
+    `kept(key, build)` holds what is built from the table, so it lives as
+    long as the table does.
     """
 
     cases: tuple
@@ -114,9 +118,17 @@ class PlacementTable:
     cols: np.ndarray
     vals: np.ndarray
     width: np.ndarray
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.cases)
+
+    def kept(self, key, build):
+        """`build()`, called on the first use of `key` and then kept."""
+        value = self._kept.get(key)
+        if value is None:
+            value = self._kept[key] = build()
+        return value
 
 
 def _row_sparse(cases, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,6 +197,9 @@ class GateSet:
     def _build_table(self, m: int) -> PlacementTable:
         if m < 1:
             raise ValueError("qubit count must be at least 1")
+        if 1 << m > DEFAULT_MAX_DIM:
+            raise ValueError(f"at most {DEFAULT_MAX_DIM.bit_length() - 1} qubits are supported, "
+                             f"got {m}")
         cases = [Placement(WIRE, 0, m, 0, None)]
         for g in self.one_qubit:
             for q in range(m):

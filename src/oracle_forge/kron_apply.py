@@ -52,29 +52,26 @@ def apply_structured(
 ) -> np.ndarray:
     """Compute (I_m (x) gate (x) I_k) x b via block decomposition.
 
-    `b` is one dim x dim matrix or a (B, dim, dim) stack, each matrix
-    multiplied on its own with the same operations in the same order.
     The scalar-by-block products of zero gate entries are skipped, so
-    `counter` records m^2 * n * k^2 multiplications per matrix for each
-    nonzero gate entry.
+    `counter` records m^2 * n * k^2 multiplications for each nonzero gate
+    entry.
     """
     m, a, k = op.m, op.gate, op.k
     n = op.n
     dim = m * n * k
-    if b.ndim not in (2, 3) or b.shape[-2:] != (dim, dim):
+    if b.shape != (dim, dim):
         raise ValueError(f"dimension mismatch: operator dim {dim}, matrix shape {b.shape}")
-    batch = b.shape[:-2]
     # Row index (i, p, r) with i < m, p < n, r < k; the operator only mixes
     # the p axis, scaling k x k blocks by gate entries.
-    br = b.reshape(*batch, m, n, k, m, n, k)
+    br = b.reshape(m, n, k, m, n, k)
     out = np.zeros_like(br)
-    per_entry = m * m * n * k * k * (batch[0] if batch else 1)
+    per_entry = m * m * n * k * k
     for p in range(n):
         for l in range(n):
             apl = a[p, l]
             if apl == 0:
                 continue
-            out[..., p, :, :, :, :] += apl * br[..., l, :, :, :, :]
+            out[:, p] += apl * br[:, l]
             if counter is not None:
                 # all (i, j) block pairs and all q columns for this (p, l)
                 counter.add(per_entry)

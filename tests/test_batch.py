@@ -35,7 +35,8 @@ from oracle_forge.evaluate import (
     fitness_value,
     is_success,
 )
-from oracle_forge.gates import CNOT_MATRIX, Gate, GateSet, default_gate_set, extend_gate_set
+from oracle_forge.gates import (CNOT_MATRIX, Gate, GateSet, PlacementTable, default_gate_set,
+                               extend_gate_set)
 from oracle_forge.kron_apply import (
     StructuredOperator,
     apply_block_step,
@@ -121,8 +122,8 @@ def per_placement_batch(indices, table, goal, params):
     lams = np.tile(identity(goal.dim), (len(indices), 1, 1))
     for column in indices.T:
         for idx in np.unique(column[column != 0]):
-            rows = np.flatnonzero(column == idx)
-            lams[rows] = apply_structured(table.operators[idx], lams[rows])
+            for r in np.flatnonzero(column == idx):
+                lams[r] = apply_structured(table.operators[idx], lams[r])
     costs = table.costs[indices].sum(axis=1).tolist()
     scores = []
     for lam, cost in zip(lams, costs):
@@ -313,7 +314,7 @@ def test_prefix_table_holds_each_prefix_lambda_exactly(gate_sets, m):
     for gs, default_depth in zip(gate_sets, ([6, 3, 2, 1][m - 1], None)):
         table = gs.table(m)
         n = len(table)
-        scratch = evaluate.row_sparse_scratch(table)
+        scratch = evaluate.kernel_scratch(evaluate.RowSparseScratch, table)
         h = scratch.depth
         # the deepest whose N^h matrices fit in the chunk budget
         assert n ** h * matrix <= evaluate.CHUNK_BYTES < n ** (h + 1) * matrix
@@ -331,15 +332,32 @@ def test_prefix_table_holds_each_prefix_lambda_exactly(gate_sets, m):
             assert_scores_equal(evaluate_batch(rows, table, GOALS[m], FP), refs)
         # a new budget gets a new scratch
         with mock.patch.object(evaluate, "CHUNK_BYTES", 2 * matrix):
-            small_scratch = evaluate.row_sparse_scratch(table)
+            small_scratch = evaluate.kernel_scratch(evaluate.RowSparseScratch, table)
             assert (small_scratch.chunk, small_scratch.depth) == (2, 0)
-        assert evaluate.row_sparse_scratch(table).depth == h
+        assert evaluate.kernel_scratch(evaluate.RowSparseScratch, table).depth == h
+
+
+@pytest.mark.parametrize("m, kind", [(2, evaluate.RowSparseScratch), (5, evaluate.BlockScratch)])
+def test_calls_on_one_table_reuse_one_scratch(monkeypatch, m, kind):
+    table = default_gate_set().table(m)
+    used = []
+    kept = PlacementTable.kept
+
+    def recording(self, key, build):
+        used.append(kept(self, key, build))
+        return used[-1]
+
+    monkeypatch.setattr(PlacementTable, "kept", recording)
+    rows = np.array([[1, 2, 0], [3, 0, 1]])
+    for _ in range(2):
+        evaluate_batch(rows, table, GOALS[m], FP)
+    assert len(used) == 2 and type(used[0]) is kind and used[1] is used[0]
 
 
 def test_a_table_of_the_wire_alone_has_no_prefix_depth():
     # two-qubit gates only, on one qubit: every prefix is the identity
     table = GateSet(one_qubit=(), two_qubit=(Gate("CNOT", CNOT_MATRIX, 2),)).table(1)
-    assert len(table) == 1 and evaluate.row_sparse_scratch(table).depth == 0
+    assert len(table) == 1 and evaluate.kernel_scratch(evaluate.RowSparseScratch, table).depth == 0
     _, corr, _ = evaluate_batch(np.zeros((3, 4), dtype=np.int64), table, GOALS[1], FP)
     assert corr.tolist() == [correctness(identity(2), GOALS[1])] * 3
 
@@ -410,26 +428,10 @@ def test_row_sparse_table_rebuilds_each_placement(gate_sets, m):
             assert not cols[~terms].any()
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), dims=st.tuples(*[st.sampled_from([1, 2, 4])] * 3),
-       batch=st.integers(1, 5))
-def test_batched_kernel_matches_each_matrix(seed, dims, batch):
-    rng = np.random.default_rng(seed)
-    m, n, k = dims[0], 2 * dims[1], dims[2]
-    gate = random_unitary(rng, n)
-    gate[0, -1] = 0  # one zero entry, so the kernel has a product to skip
-    op = StructuredOperator(m, gate, k)
-    shape = (batch, op.dim, op.dim)
-    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    out = apply_structured(op, stack)
-    assert out.shape == stack.shape
-    for b, o in zip(stack, out):
-        assert np.array_equal(o, apply_structured(op, b))
-
-
 def test_batched_kernel_rejects_wrong_shapes():
+    # the structured kernel takes one matrix: a stack of them is rejected too
     op = StructuredOperator(2, np.eye(2, dtype=complex), 1)
-    for shape in ((4,), (3, 4, 3), (2, 2, 4, 4)):
+    for shape in ((4,), (3, 4, 3), (3, 4, 4), (2, 2, 4, 4)):
         with pytest.raises(ValueError):
             apply_structured(op, np.zeros(shape, dtype=complex))
 

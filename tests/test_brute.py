@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracle_forge import brute
 from oracle_forge.brute import (BLOCK_BYTES, SuffixBlock, block_depth, clan_depth,
-                                min_cost_search, node_count, suffix_block)
+                                min_cost_search, node_count)
 from oracle_forge.cli import main as cli_main
 from oracle_forge.evaluate import GoalSpec, circuit_unitary, correctness
-from oracle_forge.gates import GateSet, default_gate_set, extend_gate_set
+from oracle_forge.gates import GateSet, PlacementTable, default_gate_set, extend_gate_set
 from oracle_forge.kron_apply import (StructuredOperator, apply_block_step, apply_structured,
                                      step_product)
 from oracle_forge.linalg import identity
@@ -371,7 +371,7 @@ def structured_block_rows(operators, depth):
     level, pos = identity(dim)[None], np.array([0])
     rows[0] = level.ravel()
     for d in range(1, depth + 1):
-        level = np.concatenate([apply_structured(op, level) for op in transposed])
+        level = np.stack([apply_structured(op, x) for op in transposed for x in level])
         child = (pos[:, None] + 1 + np.arange(n) * subtree[depth - d]).ravel()
         rows[child] = level.reshape(-1, dim * dim)
         pos = child
@@ -416,16 +416,19 @@ def test_suffix_block_row_zero_is_the_empty_sequence(gate_sets, m):
 
 def test_queries_on_one_table_share_one_block(gate_sets, monkeypatch):
     used = []
+    kept = PlacementTable.kept
 
-    def recording(table, depth):
-        used.append(suffix_block(table, depth))
+    def recording(table, key, build):
+        used.append(kept(table, key, build))
         return used[-1]
 
-    monkeypatch.setattr(brute, "suffix_block", recording)
+    monkeypatch.setattr(PlacementTable, "kept", recording)
     base, extended = gate_sets
     for name in ("entangle2", "swap", "controlled_s", "entangle2"):
         assert_matches_reference(builtin(name), 4, base)
-    assert len(used) == 4 and all(block is used[0] for block in used)
+    assert len(used) == 4 and isinstance(used[0], SuffixBlock)
+    assert all(block is used[0] for block in used)
+    # another gate set's table keeps its own block
     assert_matches_reference(builtin("entangle2"), 4, extended)
     assert used[-1] is not used[0] and len(used[-1]) > len(used[0])
 

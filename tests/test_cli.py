@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracle_forge.cli import main
+from oracle_forge.cli import build_parser, main
 from oracle_forge.engine import evolve
 from oracle_forge.evaluate import GoalSpec
 from oracle_forge.linalg import identity
@@ -128,6 +128,15 @@ def test_verify_empty_circuit_vs_entangle2(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--goal", "entangle2", "--circuit", str(path))
     assert code == 0
     assert "correctness: 0.3535" in out
+
+
+def test_verify_a_circuit_on_too_many_qubits_exits_1(tmp_path, capsys):
+    # the placement table for the file's qubit count was built before it was
+    # compared with the goal's, and failed in numpy
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"qubits": 100, "gates": [{"gate": "H", "top": 0}]}))
+    code, out, err = run(capsys, "verify", "--goal", "entangle2", "--circuit", str(path))
+    assert (code, out, err) == (1, "", "error: at most 10 qubits are supported, got 100\n")
 
 
 def test_verify_wrong_goal_not_success(tmp_path, capsys):
@@ -296,6 +305,17 @@ def test_run_defaults_come_from_the_parameter_dataclasses(monkeypatch, tmp_path,
     assert run(capsys, "experiment", "--goal", "entangle2", "--config", str(cfg),
                "--pop", "11")[0] == 0
     assert seen.pop()[1].pop_size == 11
+
+
+def test_brute_and_synth_share_the_eps_default():
+    from dataclasses import fields
+
+    from oracle_forge.evaluate import FitnessParams
+
+    parser, _ = build_parser()
+    brute = parser.parse_args(["brute", "--goal", "entangle2", "--max-gates", "1"])
+    synth = parser.parse_args(["synth", "--goal", "entangle2"])
+    assert brute.eps == synth.eps == {f.name: f.default for f in fields(FitnessParams)}["eps"]
 
 
 def test_experiment_has_no_out_dir(tmp_path, capsys):

@@ -164,6 +164,13 @@ def test_placement_table_is_built_once_per_qubit_count(gs):
         assert np.array_equal(op.gate, p.matrix)
 
 
+def test_a_table_beyond_the_largest_matrix_is_rejected_before_it_is_built():
+    gs = default_gate_set()
+    with pytest.raises(ValueError, match="^at most 10 qubits are supported, got 11$"):
+        gs.table(11)
+    assert gs._tables == {}
+
+
 def test_default_gate_set_builds_no_table():
     assert default_gate_set()._tables == {}
 
