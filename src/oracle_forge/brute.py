@@ -2,42 +2,39 @@
 
 Enumerates all gate sequences up to a length budget (wires excluded: they
 change neither the unitary nor the cost) and reports the cheapest circuit
-matching the goal up to global phase.  Cost-based pruning is admissible
-because gate costs are non-negative.
+matching the goal up to global phase.  Gate costs are non-negative, so a
+node is examined iff its cost is below the best match found before it in
+DFS preorder, and every node below a pruned one is pruned too.
 
-The search is a depth-first walk on V = O_seq G^dag, the operator of a
-node's gate sequence times the goal's adjoint: the root is G^dag and a
-node's correctness |tr V| / 2^m.  Only the top `max_gates - L` levels are
-walked.  Each node's V is its parent's times its last placement's block
-step (see `kron_apply.BlockStep`), written into a new array so that the
-parent's stays whole for its siblings; a block step equals the structured
-product bit for bit up to the sign of an exact zero, which no correctness
-sees.  A node's correctness followed by a sequence s is
-|vec(O_s^T) . vec(V)| / 2^m, and a suffix block holds vec(O_s^T) for every
-s of 0..L gates in DFS preorder.  It holds no goal, so it is built once per
-placement table and L and kept on the table.
+The search walks V = O_seq G^dag, the operator of a node's gate sequence
+times the goal's adjoint: the root is G^dag and a node's correctness
+|tr V| / 2^m.  Only the top `max_gates - L` levels are walked.  Each node's
+V is its parent's times its last placement's block step (see
+`kron_apply.BlockStep`), written into a new array so that the parent's stays
+whole for its siblings; a block step equals the structured product bit for
+bit up to the sign of an exact zero, which no correctness sees.  A node's
+correctness followed by a sequence s is |vec(O_s^T) . vec(V)| / 2^m, and a
+suffix block holds vec(O_s^T) for every s of 0..L gates in DFS preorder.
 
 The walk's last c levels are scored a clan at a time.  A node c levels above
 the walk's last level (the clan's root) builds all of its descendants down
-to that level as stacks, one level at a time with one block step per
-placement on the whole level, and scores every leaf with one product with
-the block.  Its inner nodes are then walked in preorder, and each
-last-level family (the children of one inner node) is scored from its
-columns of that product: a family with no match anywhere is counted in one
-step; otherwise each live child is counted on its own, one whose column
-matches by replaying the walk's prune and best-update rules over that
-column with array operations.  Leaves below a pruned node are computed but
-never counted, so the result, the witness and the number of circuits
-examined are those of the node-by-node walk.  c is the largest number of
+to that level as stacks, one block step per placement on each whole level,
+takes the inner nodes' traces and scores every leaf with one product with
+the block.  A clan plan numbers every sequence of 0..c+L gates below the
+root in preorder, with its cost.  One pass over the matches in that order
+keeps the running best and counts what lies between two matches that lower
+it with one array comparison, so the result, the witness and the number of
+circuits examined are those of the node-by-node walk.  Block and plan hold
+no goal and are kept on the placement table.  c is the largest number of
 walk levels whose stacks and leaf product each fit in BLOCK_BYTES: 2 on two
-and three qubits with the default gates, 1 on four.
-Both traces sum in another order than `evaluate.correctness`, so a node
-within rounding (about 1e-12) of `1 - eps` may be decided differently from
-`evaluate_circuit`.
+and three qubits with the default gates, 1 on four.  Both traces sum in
+another order than `evaluate.correctness`, so a node within rounding (about
+1e-12) of `1 - eps` may be decided differently from `evaluate_circuit`.
 """
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,77 +116,75 @@ def clan_depth(n_gates: int, dim: int, walk_depth: int, block_rows: int) -> int:
     return depth
 
 
+def preorder_levels(op_costs: np.ndarray, depth: int) -> list:
+    """(positions, costs) of the sequences of each length 0..depth, in the DFS
+    preorder of every sequence of 0..depth gates of costs `op_costs`; a length's
+    sequences are listed lexicographically, the first gate most significant."""
+    n = len(op_costs)
+    pos = cost = np.zeros(1, dtype=np.int64)
+    out = [(pos, cost)]
+    for d in range(1, depth + 1):
+        # s + (g,) follows s and the subtrees of s + (0,) .. s + (g-1,)
+        pos = np.add.outer(pos, 1 + np.arange(n) * node_count(n, depth - d)).ravel()
+        cost = np.add.outer(cost, op_costs).ravel()
+        out.append((pos, cost))
+    return out
+
+
 class SuffixBlock:
     """Every gate sequence of length 0..depth in DFS preorder, as one matrix.
 
     `rows[i]` is vec(O_s^T) for the i-th sequence s (row 0 the empty one,
-    vec(I)), `costs[i]` the cumulative cost of s, and `gate[i]` / `parent[i]`
-    the last gate of s and the preorder index of s without it (-1 for the
-    empty sequence).  The block depends only on the placement table and depth.
+    vec(I)).  The block depends only on the placement table and depth.
     """
 
     def __init__(self, table: PlacementTable, depth: int):
-        operators, op_costs = table.operators[1:], table.costs[1:]
-        n, dim = len(operators), table.cols.shape[1]  # cols holds 2^m rows per placement
-        size = node_count(n, depth)
-        self.rows = np.empty((size, dim * dim), dtype=complex)
-        self.costs = np.empty(size, dtype=np.int64)
-        self.gate = np.empty(size, dtype=np.int64)
-        self.parent = np.empty(size, dtype=np.int64)
-        level = identity(dim)[None]
-        self.rows[0], self.costs[0], self.gate[0], self.parent[0] = level.ravel(), 0, -1, -1
-        gates = np.arange(n)
+        dim = table.cols.shape[1]  # cols holds 2^m rows per placement
+        self.rows = np.empty((node_count(len(table) - 1, depth), dim * dim), dtype=complex)
         # (O_t O_g)^T = O_g^T O_t^T: prepending a gate is one block step of its
-        # transpose, applied to the whole level's stack
-        steps = [block_step(StructuredOperator(op.m, op.gate.T, op.k), dim) for op in operators]
-        pos = np.zeros(1, dtype=np.int64)
-        for d in range(1, depth + 1):
-            # both build orders list a depth's sequences lexicographically, the
-            # first gate most significant: (g, t) is row g * n^(d-1) + t, and
-            # s + (g,) is row s * n + g
-            level = expand(steps, level)
-            # preorder: s + (g,) follows s and the subtrees of s + (0,) .. s + (g-1,)
-            child = (pos[:, None] + 1 + gates * node_count(n, depth - d)).ravel()
-            self.rows[child] = level.reshape(-1, dim * dim)
-            self.costs[child] = (self.costs[pos][:, None] + op_costs).ravel()
-            self.gate[child] = np.tile(gates, len(pos))
-            self.parent[child] = np.repeat(pos, n)
-            pos = child
-        self.sorted_costs = np.sort(self.costs)
+        # transpose, applied to the whole level's stack, so sequence (g, t) of
+        # a level is matrix g * n^(d-1) + t, first gate most significant
+        steps = [block_step(StructuredOperator(op.m, op.gate.T, op.k), dim)
+                 for op in table.operators[1:]]
+        level = identity(dim)[None]
+        for d, (pos, _) in enumerate(preorder_levels(table.costs[1:], depth)):
+            if d:
+                level = expand(steps, level)
+            self.rows[pos] = level.reshape(-1, dim * dim)
 
     def __len__(self) -> int:
-        return len(self.costs)
+        return len(self.rows)
 
-    def sequence(self, i: int) -> tuple:
-        """The gate indices of the i-th sequence in preorder."""
+
+class ClanPlan:
+    """Every gate sequence of 0..clan + depth gates below a clan's root in DFS
+    preorder: the clan's levels and a suffix block below each leaf.  `costs[p]`
+    is the p-th sequence's cost; `inner[d]` and `leaves` are the positions of
+    the clan's level-d nodes (d < clan) and leaves in the order `expand` builds
+    them, so leaf j then block row r is sequence `leaves[j] + r`."""
+
+    def __init__(self, table: PlacementTable, depth: int, clan: int):
+        n, total = len(table) - 1, clan + depth
+        levels = preorder_levels(table.costs[1:], total)
+        self.costs = np.empty(node_count(n, total), dtype=np.int64)
+        for pos, cost in levels:
+            self.costs[pos] = cost
+        # the narrowest type that holds every cost: less memory for each count to scan
+        self.costs = self.costs.astype(np.min_scalar_type(self.costs.max()))
+        # `expand` builds a level with the last gate most significant
+        *self.inner, self.leaves = (pos.reshape((n,) * d).T.ravel()
+                                    for d, (pos, _) in enumerate(levels[:clan + 1]))
+        self.subtree = [node_count(n, total - d) for d in range(1, total + 1)]
+
+    def decode(self, p: int) -> tuple:
+        """The gate indices of the p-th sequence."""
         seq = []
-        while i > 0:
-            seq.append(int(self.gate[i]))
-            i = int(self.parent[i])
-        return tuple(reversed(seq))
-
-    def replay(self, corr: np.ndarray, threshold: float, bound):
-        """The walk below and at a node, replayed over the block.
-
-        `corr[i]` is the correctness of the node followed by sequence i, and
-        `bound` the current best cost minus the node's cost (None while
-        nothing matched).  A node is examined iff its cost is below the best
-        found before it in preorder.  Returns the number of nodes examined
-        and the preorder index of the node that lowers the best, or None.
-        """
-        hits = np.flatnonzero(corr >= threshold)
-        # the best before node i: the bound, lowered by every earlier hit
-        limit = np.full(len(self) + 1, np.iinfo(np.int64).max if bound is None else bound)
-        limit[hits + 1] = np.minimum(limit[hits + 1], self.costs[hits])
-        limit = np.minimum.accumulate(limit)
-        examined = int(np.count_nonzero(self.costs < limit[:-1]))
-        if hits.size == 0:
-            return examined, None
-        hit_costs = self.costs[hits]
-        first = int(np.argmin(hit_costs))  # argmin returns the first minimum
-        if bound is not None and hit_costs[first] >= bound:
-            return examined, None
-        return examined, int(hits[first])
+        for size in self.subtree:
+            if not p:
+                break
+            g, p = divmod(p - 1, size)
+            seq.append(g)
+        return tuple(seq)
 
 
 def min_cost_search(
@@ -218,85 +213,40 @@ def min_cost_search(
     block = table.kept((SuffixBlock, depth), lambda: SuffixBlock(table, depth))
     walk_depth = max_gates - depth
     clan = clan_depth(n, dim, walk_depth, len(block))
+    plan = table.kept((ClanPlan, depth, clan), lambda: ClanPlan(table, depth, clan))
 
-    # each clan level's costs relative to the clan's root: node i of level d
-    # is the sequence g_1 .. g_d with i = g_1 + g_2 n + .. + g_d n^(d-1), the
-    # order in which the levels' stacks are built
-    rel_costs = [np.zeros(1, dtype=np.int64)]
-    for _ in range(clan):
-        rel_costs.append(np.add.outer(table.costs[1:], rel_costs[-1]).ravel())
-    inner_costs = [level.tolist() for level in rel_costs[:-1]]
-    # row p: the leaves below node p of the last inner level, in preorder
-    # (with no inner level, the clan's root alone)
-    families = np.arange(len(rel_costs[-1])).reshape(n if clan else 1, -1).T
-    family_costs = rel_costs[-1][families]
-
-    def path(i: int, d: int) -> tuple:
-        """The gates from a clan's root to node i of its level d."""
-        return tuple(i // n ** j % n for j in range(d))
-
-    best_cost: int | None = None
+    best_cost = sys.maxsize  # nothing matched yet
     best_seq: tuple | None = None
     examined = 0
 
     def score_clan(cost: int, seq: tuple, v: np.ndarray) -> None:
-        """Examine the node (cost, seq) with operator v and the clan's
-        levels below it, in the walk's preorder."""
+        """Examine the node (cost, seq) with operator v and every sequence of
+        up to clan + depth gates below it, in the walk's preorder."""
         nonlocal best_cost, best_seq, examined
         levels = [v[None]]
         for _ in range(clan):
             levels.append(expand(steps, levels[-1]))
         leaves = levels.pop()
-        # |tr(O_s V)|, so dim times the correctness: dim is a power of two,
-        # so comparing it with dim * threshold decides as the correctness does
-        mag = np.abs(block.rows @ leaves.reshape(len(leaves), -1).T)
-        leaf_hit = mag.max(axis=0) >= dim * threshold
-        family_hit = leaf_hit[families].any(axis=1).tolist()
-        leaf_hit = leaf_hit.tolist()
-        own_hit = [(np.abs(np.trace(level, axis1=1, axis2=2)) / dim >= threshold).tolist()
-                   for level in levels]
-
-        def score_family(p: int) -> None:
-            nonlocal best_cost, best_seq, examined
-            if not family_hit[p]:
-                # nothing matches, so the best stays and bounds every block
-                # alike; a pruned leaf's bound is at most 0 and counts nothing
-                if best_cost is None:
-                    examined += families.shape[1] * len(block)
-                else:
-                    bounds = best_cost - cost - family_costs[p]
-                    examined += int(np.searchsorted(block.sorted_costs, bounds).sum())
-                return
-            for j, leaf_cost in zip(families[p].tolist(), (cost + family_costs[p]).tolist()):
-                if best_cost is not None and leaf_cost >= best_cost:
-                    continue  # pruned: it would count nothing, but costs a replay
-                bound = None if best_cost is None else best_cost - leaf_cost
-                if not leaf_hit[j]:
-                    examined += (len(block) if bound is None
-                                 else int(np.searchsorted(block.sorted_costs, bound)))
-                    continue
-                k, hit = block.replay(mag[:, j] / dim, threshold, bound)
-                examined += k
-                if hit is not None:
-                    best_cost = leaf_cost + int(block.costs[hit])
-                    best_seq = seq + path(j, clan) + block.sequence(hit)
-
-        if not clan:
-            score_family(0)
-            return
-        stack = [(0, 0)]  # the inner nodes as (level, index)
-        while stack:
-            d, i = stack.pop()
-            node_cost = cost + inner_costs[d][i]
-            if best_cost is not None and node_cost >= best_cost:
-                continue
-            examined += 1
-            if own_hit[d][i]:
-                best_cost, best_seq = node_cost, seq + path(i, d)
-            if d < clan - 1:
-                stack.extend((d + 1, i + g * n ** d) for g in reversed(range(n)))
-            else:
-                score_family(i)
+        # the matches' positions: the inner nodes' by their traces, the rest by
+        # |tr(O_s V)|, dim times the correctness; dim is a power of two, so
+        # comparing it with dim * threshold decides as the correctness does
+        found = [pos[np.abs(np.trace(level, axis1=1, axis2=2)) / dim >= threshold]
+                 for pos, level in zip(plan.inner, levels)]
+        hit = np.abs(block.rows @ leaves.reshape(len(leaves), -1).T) >= dim * threshold
+        if hit.any():
+            r, j = np.divmod(np.flatnonzero(hit), len(leaves))  # a 2-D nonzero is 10x slower
+            found.append(plan.leaves[j] + r)
+        hits = np.sort(np.concatenate(found)) if found else plan.leaves[:0]
+        # a sequence is examined iff it costs less than the best before it, so
+        # only the matches that lower the best split the count
+        bound, start, last = best_cost - cost, 0, None
+        for p, c in zip(hits.tolist(), plan.costs[hits].tolist()):
+            if c < bound:
+                examined += int(np.count_nonzero(plan.costs[start:p + 1] < bound))
+                bound, start, last = c, p + 1, p
+        examined += int(np.count_nonzero(plan.costs[start:] < bound))
+        if last is not None:
+            best_cost, best_seq = cost + bound, seq + plan.decode(last)
 
     # the walk above the clans' roots, node by node: (cost, gate indices, V
     # before the last gate); popping a node applies its last gate, so pruned
@@ -307,7 +257,7 @@ def min_cost_search(
     stack = [(0, (), np.ascontiguousarray(goal.matrix.conj().T))]
     while stack:
         cost, seq, v = stack.pop()
-        if best_cost is not None and cost >= best_cost:
+        if cost >= best_cost:
             continue
         if seq:
             v = step_product(steps[seq[-1]], v, term)
@@ -320,4 +270,5 @@ def min_cost_search(
         stack.extend((cost + costs[i], seq + (i,), v) for i in reversed(range(n)))
 
     witness = None if best_seq is None else [placements[i] for i in best_seq]
-    return SearchReport(min_cost=best_cost, witness=witness, circuits_examined=examined)
+    return SearchReport(min_cost=None if witness is None else best_cost, witness=witness,
+                        circuits_examined=examined)

@@ -64,6 +64,8 @@ class HqeaParams:
             raise ValueError("pop_size, measurements and max_gen must be at least 1")
         if not 0 <= self.mutation_prob <= 1:
             raise ValueError("mutation_prob must be a probability")
+        if not 0 <= self.delta_theta < math.inf:
+            raise ValueError(f"delta_theta must be finite and non-negative, got {self.delta_theta}")
         if self.restart_after < 1:
             raise ValueError("restart_after must be at least 1")
 

@@ -15,7 +15,7 @@ Placement index convention (fixed for reproducibility):
 costs, structured operators, block steps and row-sparse form, and keeps
 them for later calls; the codec, the evaluators, the engine and the
 verifier all read that one table, and keep what they build from it (kernel
-buffers, suffix blocks) on it with `PlacementTable.kept`.
+buffers, suffix blocks, clan plans) on it with `PlacementTable.kept`.
 """
 from __future__ import annotations
 

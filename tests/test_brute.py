@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_forge import brute
-from oracle_forge.brute import (BLOCK_BYTES, SuffixBlock, block_depth, clan_depth,
-                                min_cost_search, node_count)
+from oracle_forge.brute import (BLOCK_BYTES, ClanPlan, SuffixBlock, block_depth, clan_depth,
+                                expand, min_cost_search, node_count)
 from oracle_forge.cli import main as cli_main
 from oracle_forge.evaluate import GoalSpec, circuit_unitary, correctness
 from oracle_forge.gates import GateSet, PlacementTable, default_gate_set, extend_gate_set
@@ -271,7 +271,7 @@ def draw_goal(data, table, m, reachable):
 # correctness within rounding of 1 - eps could be decided differently; the
 # drawn goals put none there.
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data(), extended=st.booleans(), m=st.integers(1, 3),
        depth=st.sampled_from(["zero", "one", "block", "deeper"]),
        reachable=st.booleans(), eps=st.sampled_from([1e-6, 0.05, 0.4]))
@@ -305,7 +305,7 @@ def small_gate_set(base, name):
     ("CNOT", 2, 4096, 7, (3, 3)),
     ("H", 3, 40960, 6, (3, 3)),
 ])
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True)
 @given(data=st.data(), reachable=st.booleans(), eps=st.sampled_from([1e-6, 0.05, 0.4]))
 def test_clan_search_matches_recursive_dfs(gate_sets, name, m, block_bytes, max_gates, expected,
                                            data, reachable, eps):
@@ -406,34 +406,69 @@ def test_suffix_block_row_zero_is_the_empty_sequence(gate_sets, m):
         depth = min(block_depth(n, dim, 100), 3)
         block = SuffixBlock(table, depth)
         assert np.array_equal(block.rows[0], identity(dim).ravel())
-        assert (block.costs[0], block.gate[0], block.parent[0]) == (0, -1, -1)
         sequences = list(preorder(n, depth))
         assert len(block) == len(sequences) == node_count(n, depth)
-        for i, seq in enumerate(sequences):
-            assert block.sequence(i) == seq
-            assert block.costs[i] == sum(table.costs[1 + g] for g in seq)
+        for row, seq in zip(block.rows, sequences):
+            circuit = [table.cases[1 + g] for g in seq]
+            assert np.allclose(row, circuit_unitary(circuit, m).T.ravel(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+@pytest.mark.parametrize("depth, clan", [(0, 0), (3, 0), (0, 2), (1, 1), (2, 1), (1, 2)])
+def test_clan_plan_numbers_every_sequence_in_preorder(gate_sets, m, depth, clan):
+    dim = 1 << m
+    for gs in gate_sets:
+        table = gs.table(m)
+        n = len(table) - 1
+        plan = ClanPlan(table, depth, clan)
+        sequences = list(preorder(n, clan + depth))
+        assert plan.costs.tolist() == [sum(table.costs[1 + g] for g in seq) for seq in sequences]
+        assert [plan.decode(p) for p in range(len(sequences))] == sequences
+        # the clan's levels as the search builds them, from the identity: each
+        # position's sequence is the one whose unitary the level holds there
+        level = identity(dim)[None]
+        for d, positions in enumerate(plan.inner + [plan.leaves]):
+            if d:
+                level = expand(table.steps[1:], level)
+            assert len(positions) == len(level) == n ** d
+            for p, v in zip(positions, level):
+                circuit = [table.cases[1 + g] for g in sequences[p]]
+                assert len(circuit) == d
+                assert np.allclose(v, circuit_unitary(circuit, m), rtol=0, atol=1e-12)
+        # leaf j followed by block row r is sequence leaves[j] + r
+        suffixes = list(preorder(n, depth))
+        for leaf in plan.leaves:
+            assert sequences[leaf:leaf + len(suffixes)] == [sequences[leaf] + s for s in suffixes]
 
 
 def test_queries_on_one_table_share_one_block(gate_sets, monkeypatch):
-    used = []
+    used, built = [], []
     kept = PlacementTable.kept
 
     def recording(table, key, build):
-        used.append(kept(table, key, build))
+        def building():
+            built.append(key)
+            return build()
+        used.append(kept(table, key, building))
         return used[-1]
 
     monkeypatch.setattr(PlacementTable, "kept", recording)
-    base, extended = gate_sets
+    # gate sets of their own, so that no earlier test has built on their tables
+    base, extended = (GateSet(one_qubit=g.one_qubit, two_qubit=g.two_qubit) for g in gate_sets)
     for name in ("entangle2", "swap", "controlled_s", "entangle2"):
         assert_matches_reference(builtin(name), 4, base)
-    assert len(used) == 4 and isinstance(used[0], SuffixBlock)
-    assert all(block is used[0] for block in used)
-    # another gate set's table keeps its own block
+    # each query looks up one block and one plan, built by the first
+    assert [type(x) for x in used] == [SuffixBlock, ClanPlan] * 4
+    assert all(x is used[i % 2] for i, x in enumerate(used))
+    assert [key[0] for key in built] == [SuffixBlock, ClanPlan]
+    # another gate set's table keeps its own block and plan
     assert_matches_reference(builtin("entangle2"), 4, extended)
-    assert used[-1] is not used[0] and len(used[-1]) > len(used[0])
+    assert [key[0] for key in built] == [SuffixBlock, ClanPlan] * 2
+    assert used[-2] is not used[0] and len(used[-2]) > len(used[0])
+    assert used[-1] is not used[1] and len(used[-1].costs) > len(used[1].costs)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data(), extended=st.booleans(), m=st.integers(1, 4), reachable=st.booleans())
 def test_walk_correctness_is_the_evaluators_within_rounding(gate_sets, data, extended, m,
                                                             reachable):
@@ -454,7 +489,7 @@ def test_walk_correctness_is_the_evaluators_within_rounding(gate_sets, data, ext
         v = step_product(table.steps[i], v, term)
     expected = correctness(circuit_unitary(circuit, m), goal)
     assert abs(abs(np.trace(v)) / dim - expected) <= 1e-12
-    # a family's own correctness: row 0 of its block product
+    # a leaf's own correctness: row 0 of its block product
     assert abs(abs(identity(dim).ravel() @ v.ravel()) / dim - expected) <= 1e-12
 
 

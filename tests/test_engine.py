@@ -39,6 +39,13 @@ def test_params_validation():
         small_params(mutation_prob=1.5)
 
 
+@pytest.mark.parametrize("delta_theta", [float("nan"), float("inf"), -0.01])
+def test_delta_theta_must_be_finite_and_non_negative(delta_theta):
+    # NaN turns every rotated theta into NaN; a negative step rotates away from the guide
+    with pytest.raises(ValueError, match="^delta_theta must be finite and non-negative, got "):
+        small_params(delta_theta=delta_theta)
+
+
 def test_init_population_uniform():
     pop = init_population(20, 24)
     assert pop.shape == (20, 24)
