@@ -14,6 +14,7 @@ min_cost_search or benchmark_sweep parameter) where it has one.
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
 import json
 import os
@@ -173,24 +174,18 @@ def cmd_experiment(args) -> int:
     params = _params(args, goal)
     sweep = args.punish_sweep or [params.fitness.punish]
 
-    header = "goal,satcost,g,max_gen,award,punish,runs,ST,AS,OT"
-    rows = []
+    rows = [["goal", "satcost", "g", "max_gen", "award", "punish", "runs", "ST", "AS", "OT"]]
     fp = params.fitness
     for punish in sweep:
         stats = run_batch(goal, gs, args.g, replace(params, fitness=replace(fp, punish=punish)),
                           args.runs)
-        ot = "" if stats.ot is None else stats.ot
-        name = goal.name or "custom"
-        rows.append(f"{name},{fp.satcost},{args.g},{params.max_gen},{fp.award},{punish},"
-                    f"{args.runs},{stats.st},{stats.as_mean},{ot}")
-    print(header)
-    for row in rows:
-        print(row)
+        rows.append([goal.name or "custom", fp.satcost, args.g, params.max_gen, fp.award, punish,
+                     args.runs, stats.st, stats.as_mean, stats.ot])
+    # a goal file's name may hold a comma or a quote, which the writer quotes; OT None is empty
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(header + "\n")
-            for row in rows:
-                f.write(row + "\n")
+        with open(args.csv, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
     return 0
 
 

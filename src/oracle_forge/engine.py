@@ -17,9 +17,8 @@ kept); this catastrophe step stops the whole population from idling in an
 exhausted attractor.
 
 A generation is scored as one batch: all pop x measurements bit strings
-are decoded at once, circuits are keyed by the bytes of their placement
-indices with the wires moved to the end (wires change neither lambda nor
-cost), and each distinct circuit of the generation is scored once, in one
+are decoded at once, each row of placement indices is keyed by its bytes
+as drawn, and each distinct row of the generation is scored once, in one
 `evaluate_batch` call that returns score arrays.  No score outlives its
 generation.
 """
@@ -112,18 +111,6 @@ def rotate_toward(theta: np.ndarray, bits: np.ndarray, delta: float) -> np.ndarr
     return np.clip(theta + step, THETA_MIN, THETA_MAX)
 
 
-def wire_compacted(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of placement indices with their wires moved to the end, and
-    each such row's bytes as one key.
-
-    Wires change neither lambda nor cost, so two rows are the same circuit
-    exactly when their keys are equal.
-    """
-    order = np.argsort(indices == 0, axis=1, kind="stable")
-    compact = np.take_along_axis(indices, order, axis=1)
-    return compact, compact.view(np.dtype((np.void, compact.itemsize * compact.shape[1]))).ravel()
-
-
 def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> RunResult:
     """Run the evolutionary loop until a satisfying circuit or max_gen generations."""
     if max_gates < 1:
@@ -151,9 +138,10 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
         u = rng.random(shape)
         flips = rng.random(shape) < params.mutation_prob
         bits = ((u < (np.sin(pop) ** 2)[:, None, :]) ^ flips).astype(np.uint8).reshape(-1, n_bits)
-        compact, keys = wire_compacted(decode_indices(bits, len(table)))
+        rows = decode_indices(bits, len(table))
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         _, first_row, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        ufit, ucorr, ucost = evaluate_batch(compact[first_row], table, goal, params.fitness)
+        ufit, ucorr, ucost = evaluate_batch(rows[first_row], table, goal, params.fitness)
         fitness = ufit[inverse].reshape(shape[:2])
 
         # the first minimum in (c, t) order is where a strict-improvement scan stops

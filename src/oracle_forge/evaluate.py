@@ -218,17 +218,16 @@ def apply_positions(rows: np.ndarray, table: PlacementTable, scratch: RowSparseS
     Row r's matrix is `scratch.lams[0, r]`.  A position is one row-sparse
     product (see `PlacementTable`): term t of every output row is its weight
     times the input row it reads, one gather per term over the whole stack.
-    Positions where every row holds the wire are skipped.  The products run
-    in the three matrix buffers: the source and destination of a position,
-    which swap after it, and the term being added.  Returns the view of the
-    buffer that holds the products.  The indices are not checked here.
+    A wire is one term of weight 1.  The products run in the three matrix
+    buffers: the source and destination of a position, which swap after it,
+    and the term being added.  Returns the view of the buffer that holds the
+    products.  The indices are not checked here.
     """
     n = len(rows)
     lam, out, term = scratch.lams[:, :n]
     dim = lam.shape[-1]
     reads, weights = scratch.reads[:n], scratch.weights[:n]
-    for j in np.flatnonzero(rows.any(axis=0)).tolist():
-        gates = rows[:, j]
+    for gates in rows.T:
         # (row, output row, term): the flat input row read
         table.cols.take(gates, axis=0, out=reads, mode="clip")
         reads += scratch.first[:n]
@@ -305,8 +304,8 @@ def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec
     nonzeros (see `BlockScratch`), one flat gather per position for the
     whole chunk.  Each lambda is then scattered into a stack of CHUNK_BYTES
     of matrices and the rest of its row applied in place, gate by gate,
-    through the placements' `BlockStep`s; trailing wires are dropped.  Each
-    stack's correctness is one `vecdot` with the goal, which equals
+    through the placements' `BlockStep`s, of which a wire's does nothing.
+    Each stack's correctness is one `vecdot` with the goal, which equals
     `correctness`'s `vdot` bit for bit.
 
     The lambda equals the block steps' bit for bit, up to the sign of an
@@ -326,20 +325,17 @@ def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec
     check_indices(indices, table)
     scratch = kernel_scratch(BlockScratch, table)
     steps = table.steps
-    g = indices.shape[1]
     in_head = np.cumsum(table.width[indices] > 1, axis=1) <= 1
     heads = np.where(in_head, indices, 0)  # the wire past each head
     starts = in_head.sum(axis=1)
-    ends = (np.arange(1, g + 1) * (indices != 0)).max(axis=1, initial=0)
     overlap = np.empty(len(indices), dtype=complex)
     goal_flat = goal.matrix.ravel()
     spare, term = scratch.spare, scratch.term
     for start in range(0, len(indices), scratch.chunk):
         stop = start + scratch.chunk
         cols, vals = head_lambdas(heads[start:stop], table, scratch)
-        tails = [row[a:b] for row, a, b in zip(indices[start:stop].tolist(),
-                                               starts[start:stop].tolist(),
-                                               ends[start:stop].tolist())]
+        tails = [row[a:] for row, a in zip(indices[start:stop].tolist(),
+                                           starts[start:stop].tolist())]
         for k in range(0, len(tails), len(scratch.lams)):
             part = slice(k, k + len(scratch.lams))
             lams = scatter_heads(cols[part], vals[part], scratch)
@@ -368,8 +364,8 @@ def head_lambdas(heads: np.ndarray, table: PlacementTable, scratch: BlockScratch
     its row i, for each slot s.  Each lambda starts as the identity, the
     wire's row-sparse form, and each position is one gather of the chunk's
     slots through `scratch.read` and one product with `scratch.weight`,
-    weight first as in the block step.  Positions where every row holds the
-    wire are skipped.
+    weight first as in the block step.  A wire moves each slot to itself
+    with weight 1.
     """
     n = len(heads)
     cols, new_cols = scratch.cols[:, :n]
@@ -377,8 +373,7 @@ def head_lambdas(heads: np.ndarray, table: PlacementTable, scratch: BlockScratch
     cols[...] = table.cols[0]
     vals[...] = table.vals[0]
     reads, weights = scratch.reads[:n], scratch.weights[:n]
-    for j in np.flatnonzero(heads.any(axis=0)).tolist():
-        gates = heads[:, j]
+    for gates in heads.T:
         scratch.read.take(gates, axis=0, out=reads, mode="clip")
         reads += scratch.first[:n]
         scratch.weight.take(gates, axis=0, out=weights, mode="clip")

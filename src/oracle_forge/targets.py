@@ -83,4 +83,7 @@ def load_goal(path) -> GoalSpec:
     opt = data.get("optimal_cost")
     if opt is not None:
         opt = whole_number(opt, "goal optimal_cost")
-    return GoalSpec(m, mat, optimal_cost=opt, name=data.get("name", ""))
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"goal name must be a string, got {name!r}")
+    return GoalSpec(m, mat, optimal_cost=opt, name=name)

@@ -505,13 +505,13 @@ def assert_matches_reference(goal, max_gates, gs, eps=1e-6):
 
 
 # on two qubits the default block holds every sequence of 1..3 gates, so a
-# budget of 3 + w walks w levels, and the clans span min(w, 2) of them: the
-# families are the nodes at depth w
+# budget of 3 + w walks w levels, and the clans span min(w, 2) of them: at
+# w <= 2 one clan, rooted at the empty circuit, is scored in one preorder pass
 WALK_BLOCK = 3
 
 
-def test_family_hit_prunes_the_later_children(gs):
-    # T on qubit 1 is child 4 of the root's family at a budget of 4; its own
+def test_clan_hit_prunes_the_later_children(gs):
+    # T on qubit 1 is child 4 of the root's clan at a budget of 4; its own
     # match (cost 1) prunes every later child, all of cost 1 or more
     table = gs.table(2)
     t1 = table.index[("T", 1)]
@@ -524,12 +524,12 @@ def test_family_hit_prunes_the_later_children(gs):
     assert report.circuits_examined <= 1 + (t1 - 1) * (1 + block) + 1
 
 
-def test_clan_first_family_hit_prunes_later_parents_and_families(gs):
+def test_clan_hit_at_depth_two_prunes_later_parents_and_their_children(gs):
     # At a budget of 5 one clan spans the root, its 8 children (the parents)
-    # and their 64 children (the families).  S on qubit 0 then T on qubit 1
-    # is child 4 of the first family; its own match (cost 2) prunes the rest
-    # of that family, the two CNOT parents (cost 2) and every later family,
-    # whose members all cost 2 or more.
+    # and their 64 children.  S on qubit 0 then T on qubit 1 is child 4 of
+    # the first parent; in the clan's preorder its own match (cost 2) prunes
+    # that parent's later children, the two CNOT parents (cost 2) and the
+    # children of every later parent, which all cost 2 or more.
     table = gs.table(2)
     s0, t1 = table.index[("S", 0)], table.index[("T", 1)]
     assert s0 == 1  # the first parent
@@ -539,17 +539,17 @@ def test_clan_first_family_hit_prunes_later_parents_and_families(gs):
     later_parents = int(np.count_nonzero(table.costs[s0 + 1:] == 1))  # S1, T0, T1, H0, H1
     assert later_parents == 5
     # at most the root, S0, its earlier children with their blocks, S0 T1
-    # itself, and the later cost-1 parents with no family
+    # itself, and the later cost-1 parents with none of their children
     block = node_count(8, WALK_BLOCK)
     assert report.circuits_examined <= 2 + (t1 - 1) * block + 1 + later_parents
 
 
 @pytest.mark.parametrize("walk", [0, 1, 2])
 @pytest.mark.parametrize("name", ["entangle2", "swap", "controlled_s"])
-def test_family_path_matches_the_recursive_dfs(gs, walk, name):
+def test_clan_pass_matches_the_recursive_dfs(gs, walk, name):
     assert block_depth(8, 4, 100) == WALK_BLOCK
     assert clan_depth(8, 4, walk, node_count(8, WALK_BLOCK)) == walk
     report = assert_matches_reference(builtin(name), WALK_BLOCK + walk, gs)
     if name == "entangle2" and walk == 2:
-        # H then CNOT: the optimum is a family member's own node
+        # H then CNOT: the optimum is a node on the clan's last level
         assert len(report.witness) == walk

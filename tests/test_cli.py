@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import time
 from dataclasses import dataclass, replace
@@ -441,6 +443,34 @@ def test_goal_file_with_a_negative_optimal_cost_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "experiment", "--goal-file", str(path), "--satcost", "5",
                          "--runs", "1", "--max-gen", "1")
     assert (code, out, err) == (1, "", "error: goal optimal_cost must be non-negative, got -3\n")
+
+
+@pytest.mark.parametrize("name, shown", [({"a": 1}, "{'a': 1}"), (["a"], "['a']"), (7, "7"),
+                                         (None, "None")])
+def test_goal_file_with_a_name_that_is_no_string_exits_1(tmp_path, capsys, name, shown):
+    # an object name was formatted into the experiment row as {'a': 1}
+    path = tmp_path / "goal.json"
+    save_goal(builtin("entangle2"), path)
+    data = json.loads(path.read_text())
+    data["name"] = name
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "experiment", "--goal-file", str(path), "--runs", "1",
+                         "--max-gen", "1")
+    assert (code, out, err) == (1, "", f"error: goal name must be a string, got {shown}\n")
+
+
+@pytest.mark.parametrize("name", ["a,b", '"quoted" name', "line\nbreak"])
+def test_experiment_row_keeps_a_goal_name_in_one_field(tmp_path, capsys, name):
+    # a comma in the name gave the row 11 fields under the 10-column header
+    path, csv_path = tmp_path / "goal.json", tmp_path / "stats.csv"
+    save_goal(replace(builtin("entangle2"), name=name), path)
+    code, out, _ = run(capsys, "experiment", "--goal-file", str(path), "--runs", "1",
+                       "--max-gen", "1", "--csv", str(csv_path))
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out, newline=""))
+    assert len(header) == len(row) == 10
+    assert row[0] == name
+    assert csv_path.read_text() == out
 
 
 @pytest.mark.parametrize("argv, message", [
