@@ -200,6 +200,7 @@ def min_cost_search(
         raise ValueError(f"the circuit budget must be non-negative, got {budget}")
     require_eps(eps)
     table = gs.table(goal.num_qubits)
+    table.require_budget(max_gates)  # the plans and the walk sum costs in int64
     placements = table.cases[1:]  # index 0 is the wire
     steps = table.steps[1:]
     n = len(steps)

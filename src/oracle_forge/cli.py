@@ -240,6 +240,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a budget too large to hold, such as a huge --g
+        print(f"error: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

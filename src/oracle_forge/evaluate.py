@@ -11,18 +11,13 @@ correct one (that failure mode is real, not a bug).
 
 `evaluate_circuit` scores one circuit given as placements with the
 structured kernel.  `evaluate_batch` scores a stack of circuits given as
-rows of placement indices and returns score arrays bit-identical to it,
-because each matrix entry is summed from the same terms in the same order
-and each score from the same operations.  It builds the lambdas with one of
-two kernels, picked by the matrix size alone: below BLOCK_MIN_DIM the
-row-sparse kernel starts each row from a table of the lambdas of every
-short prefix, then applies a gate position to a cache-sized chunk of rows at
-once with one gather per term, in buffers it keeps from call to call; from
-BLOCK_MIN_DIM up the block kernel builds each row's head, its positions
-before its second placement of width > 1, sparsely for a chunk of rows at
-once (a head's lambda has at most w nonzeros a row, w the table's widest
-row), scatters it into a dense lambda and applies the rest of the row in
-place, gate by gate, through the placements' `BlockStep`s.
+rows of placement indices, bit-identically: it checks the rows, takes each
+row's overlap with the goal from one of two kernels, picked by the matrix
+size alone, and turns the overlaps into correctness and fitness.  Below
+BLOCK_MIN_DIM `row_sparse_overlaps` applies each gate position to a
+cache-sized chunk of rows at once, one gather per term; from BLOCK_MIN_DIM
+up `block_overlaps` builds each row's sparse head and applies the rest of
+the row in place through the placements' `BlockStep`s.
 """
 from __future__ import annotations
 
@@ -32,13 +27,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gates import PlacementTable, placement_operator
+from .gates import PlacementTable, placement_operator, require_cost
 from .kron_apply import apply_block_step, apply_structured
 from .linalg import identity, require_unitary
 
-# working-set budget of row_sparse_correctness: its rows are scored this
-# many bytes of lambda matrices at a time, and its prefix table holds at
-# most this many
+# working-set budget of both kernels: the row-sparse one scores its rows this
+# many bytes of lambda matrices at a time, and its prefix table holds at most
+# this many; the block one scatters its heads into a stack of this many bytes
+# of matrices, and sizes its head chunk so that its slot arrays fit in it
 CHUNK_BYTES = 1 << 18
 # evaluate_batch builds lambdas of this dimension and up with the block
 # kernel and smaller ones with the row-sparse kernel.  Measured crossover, as
@@ -60,14 +56,14 @@ class GoalSpec:
     name: str = ""
 
     def __post_init__(self):
-        dim = 1 << self.num_qubits
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(
-                f"goal on {self.num_qubits} qubits must be {dim}x{dim}, got {self.matrix.shape}"
-            )
+        m, shape = self.num_qubits, self.matrix.shape
+        # the exponent is compared before m is a shift: m may be read from a file
+        if m < 1 or m != len(self.matrix).bit_length() - 1 or shape != (1 << m, 1 << m):
+            raise ValueError(f"goal matrix of shape {shape} is not 2^qubits x 2^qubits "
+                             f"(qubits={m})")
         require_unitary(self.matrix, "goal matrix")
-        if self.optimal_cost is not None and self.optimal_cost < 0:
-            raise ValueError(f"goal optimal_cost must be non-negative, got {self.optimal_cost}")
+        if self.optimal_cost is not None:
+            require_cost(self.optimal_cost, "goal optimal_cost")
 
     @property
     def dim(self) -> int:
@@ -90,8 +86,7 @@ class FitnessParams:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.satcost < 0:
-            raise ValueError("satcost must be non-negative")
+        require_cost(self.satcost, "satcost")
         if not (math.isfinite(self.award) and math.isfinite(self.punish)):
             raise ValueError("award and punish must be finite")
         if self.award < 0 or self.punish < 0:
@@ -154,62 +149,56 @@ def evaluate_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fitness, correctness and cost arrays of the circuits given as rows of placement indices.
 
-    Each row's lambda is built by one of two kernels, chosen by the matrix
-    size alone: `block_correctness` from BLOCK_MIN_DIM up,
-    `row_sparse_correctness` below.  Both sum every matrix entry from the
-    terms of the structured kernel in its order, less some terms that are
-    exact zeros, so each lambda equals `evaluate_circuit`'s bit for bit
-    (only the sign of an exact zero can differ, and no score sees it), and
-    both give correctness as `hypot` of the overlap with the goal, which
-    equals `correctness`'s `abs` bit for bit.  The fitness is `fitness_value` of the arrays.  So the
-    scores equal `evaluate_circuit`'s exactly.  Cost is int64.
+    The kernels' gathers clip instead of raising, which would make numpy
+    buffer their output, so every index is checked here to lie in
+    [0, len(table)); the table checked its own reads when it was built.
+    Costs are summed in int64, so rows whose costliest circuit would not fit
+    raise ValueError.
+
+    Each row's overlap tr(G^dag lambda) comes from `block_overlaps` from
+    BLOCK_MIN_DIM up and from `row_sparse_overlaps` below.  Both sum every
+    matrix entry from the structured kernel's terms in its order, less some
+    exact zeros, so each lambda equals `evaluate_circuit`'s bit for bit (up
+    to the sign of an exact zero, which no score sees), and both take the
+    overlap as a `vecdot`, which equals `correctness`'s `vdot` bit for bit.
+    `hypot` over the dimension equals its `abs` bit for bit, and the fitness
+    is `fitness_value` of the arrays, so the scores equal
+    `evaluate_circuit`'s exactly.
     """
-    kernel = block_correctness if goal.dim >= BLOCK_MIN_DIM else row_sparse_correctness
-    corr = kernel(indices, table, goal)
+    if indices.size and (indices.min() < 0 or indices.max() >= len(table)):
+        raise IndexError(f"placement indices outside [0, {len(table)})")
+    table.require_budget(indices.shape[1])
+    kernel = block_overlaps if goal.dim >= BLOCK_MIN_DIM else row_sparse_overlaps
+    overlap = kernel(indices, table, goal.matrix.ravel())
+    corr = np.hypot(overlap.real, overlap.imag) / goal.dim
     cost = table.costs[indices].sum(axis=1)
     return fitness_value(cost, corr, params), corr, cost
 
 
-def row_sparse_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec) -> np.ndarray:
-    """Correctness of each row's circuit, a whole chunk of rows per product.
+def row_sparse_overlaps(indices: np.ndarray, table: PlacementTable,
+                        goal_flat: np.ndarray) -> np.ndarray:
+    """The overlap of each row's lambda with the goal, a whole chunk of rows per product.
 
     The rows are taken a chunk of at most CHUNK_BYTES of matrices at a time,
     so a chunk's stack stays in cache while every gate position is applied
     to it.  Each row starts from the tabulated lambda of its first `depth`
     placement indices (see `RowSparseScratch`), one gather for the chunk,
     and `apply_positions` applies only its positions after those.  Each
-    chunk's correctness is one `vecdot` with the goal, which equals
-    `correctness`'s `vdot` bit for bit.
-
-    The gathers clip instead of raising, which would make numpy buffer their
-    output, so the indices they follow are checked first, on every call:
-    each placement reads only rows of its own matrix, and each row holds
-    placement indices of the table.
+    chunk's overlaps are one `vecdot` with the flat goal.
     """
-    dim = goal.dim
-    check_reads(table, dim)
-    check_indices(indices, table)
     scratch = kernel_scratch(RowSparseScratch, table)
     depth = min(scratch.depth, indices.shape[1])
     # a row shorter than the table's depth pads its prefix with wires (index 0)
     place = len(table) ** np.arange(scratch.depth - 1, scratch.depth - 1 - depth, -1)
-    corr = np.empty(len(indices))
-    goal_flat = goal.matrix.ravel()
+    overlap = np.empty(len(indices), dtype=complex)
     for start in range(0, len(indices), scratch.chunk):
         rows = indices[start:start + scratch.chunk]
         n = len(rows)
         np.take(scratch.prefixes, rows[:, :depth] @ place, axis=0, out=scratch.lams[0, :n],
                 mode="clip")
         lam = apply_positions(rows[:, depth:], table, scratch)
-        overlap = np.vecdot(goal_flat, lam.reshape(n, -1))
-        corr[start:start + n] = np.hypot(overlap.real, overlap.imag) / dim
-    return corr
-
-
-def check_indices(indices: np.ndarray, table: PlacementTable) -> None:
-    """Raise IndexError unless every placement index lies in [0, len(table))."""
-    if indices.size and (indices.min() < 0 or indices.max() >= len(table)):
-        raise IndexError(f"placement indices outside [0, {len(table)})")
+        overlap[start:start + n] = np.vecdot(goal_flat, lam.reshape(n, -1))
+    return overlap
 
 
 def apply_positions(rows: np.ndarray, table: PlacementTable, scratch: RowSparseScratch) -> np.ndarray:
@@ -221,7 +210,7 @@ def apply_positions(rows: np.ndarray, table: PlacementTable, scratch: RowSparseS
     A wire is one term of weight 1.  The products run in the three matrix
     buffers: the source and destination of a position, which swap after it,
     and the term being added.  Returns the view of the buffer that holds the
-    products.  The indices are not checked here.
+    products.  The indices are not checked here (see `evaluate_batch`).
     """
     n = len(rows)
     lam, out, term = scratch.lams[:, :n]
@@ -294,8 +283,9 @@ def kernel_scratch(kind: type, table: PlacementTable):
     return table.kept((kind, CHUNK_BYTES), lambda: kind(table))
 
 
-def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec) -> np.ndarray:
-    """Correctness of each row's circuit: a sparse head, then block steps.
+def block_overlaps(indices: np.ndarray, table: PlacementTable,
+                   goal_flat: np.ndarray) -> np.ndarray:
+    """The overlap of each row's lambda with the goal: a sparse head, then block steps.
 
     A row's head is its positions before its second placement of width > 1
     (see `PlacementTable`).  Up to there its lambda is monomial, one nonzero
@@ -305,8 +295,7 @@ def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec
     whole chunk.  Each lambda is then scattered into a stack of CHUNK_BYTES
     of matrices and the rest of its row applied in place, gate by gate,
     through the placements' `BlockStep`s, of which a wire's does nothing.
-    Each stack's correctness is one `vecdot` with the goal, which equals
-    `correctness`'s `vdot` bit for bit.
+    Each stack's overlaps are one `vecdot` with the flat goal.
 
     The lambda equals the block steps' bit for bit, up to the sign of an
     exact zero.  A block step sums gate entry times block over the gate's
@@ -317,19 +306,13 @@ def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec
     nonzero term, and every other term the block step adds is a product
     with an exact zero.  A product with an exact 1, which the block step
     skips, changes at most the sign of a zero.
-
-    The gathers clip instead of raising, so the indices and the table's read
-    columns are checked first, as the row-sparse kernel checks them.
     """
-    check_reads(table, goal.dim)
-    check_indices(indices, table)
     scratch = kernel_scratch(BlockScratch, table)
     steps = table.steps
     in_head = np.cumsum(table.width[indices] > 1, axis=1) <= 1
     heads = np.where(in_head, indices, 0)  # the wire past each head
     starts = in_head.sum(axis=1)
     overlap = np.empty(len(indices), dtype=complex)
-    goal_flat = goal.matrix.ravel()
     spare, term = scratch.spare, scratch.term
     for start in range(0, len(indices), scratch.chunk):
         stop = start + scratch.chunk
@@ -348,13 +331,7 @@ def block_correctness(indices: np.ndarray, table: PlacementTable, goal: GoalSpec
                     spare = lam
             n = len(lams)
             overlap[start + k:start + k + n] = np.vecdot(goal_flat, lams.reshape(n, -1))
-    return np.hypot(overlap.real, overlap.imag) / goal.dim
-
-
-def check_reads(table: PlacementTable, dim: int) -> None:
-    """Raise IndexError unless every placement reads only rows of its own matrix."""
-    if table.cols.min() < 0 or table.cols.max() >= dim:
-        raise IndexError(f"placement table reads outside the {dim} rows of a matrix")
+    return overlap
 
 
 def head_lambdas(heads: np.ndarray, table: PlacementTable, scratch: BlockScratch):

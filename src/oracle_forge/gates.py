@@ -58,8 +58,7 @@ class Gate:
         if m.shape[0] not in (2, 4):
             raise ValueError(f"gate {self.name!r}: only 2x2 or 4x4 matrices are supported")
         require_unitary(m, f"gate {self.name!r}")
-        if self.cost < 0:
-            raise ValueError(f"gate {self.name!r}: cost must be non-negative")
+        require_cost(self.cost, f"gate {self.name!r}: cost")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -80,6 +79,14 @@ class Placement:
     @property
     def is_wire(self) -> bool:
         return self.matrix is None
+
+
+def require_cost(cost: int, what: str) -> None:
+    """Reject a cost below 0 or past int64, the type costs are summed in."""
+    if cost < 0:
+        raise ValueError(f"{what} must be non-negative, got {cost}")
+    if cost >= 1 << 63:
+        raise ValueError(f"{what} must be below 2^63, got {cost}")
 
 
 def placement_operator(p: Placement, m: int) -> StructuredOperator:
@@ -106,6 +113,11 @@ class PlacementTable:
     row's nonzeros, up to the table's widest row, have weight 0 on row 0.
     The wire is the identity: one term of weight 1 per row.
 
+    A table whose `cols` read outside the rows of its own matrix raises
+    IndexError when it is built: the evaluator's gathers clip instead of
+    raising.  `costs`, `cols`, `vals` and `width` are then read-only, so
+    what was checked stays true.
+
     `kept(key, build)` holds what is built from the table, so it lives as
     long as the table does.
     """
@@ -120,8 +132,19 @@ class PlacementTable:
     width: np.ndarray
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self):
+        dim = self.cols.shape[1]
+        if self.cols.min() < 0 or self.cols.max() >= dim:
+            raise IndexError(f"placement table reads outside the {dim} rows of a matrix")
+        for array in (self.costs, self.cols, self.vals, self.width):
+            array.flags.writeable = False
+
     def __len__(self) -> int:
         return len(self.cases)
+
+    def require_budget(self, max_gates: int) -> None:
+        """Reject a gate budget whose costliest circuit's cost does not fit in int64."""
+        require_cost(max_gates * max(self.costs.tolist()), f"the cost of {max_gates} gates")
 
     def kept(self, key, build):
         """`build()`, called on the first use of `key` and then kept."""
@@ -197,7 +220,7 @@ class GateSet:
     def _build_table(self, m: int) -> PlacementTable:
         if m < 1:
             raise ValueError("qubit count must be at least 1")
-        if 1 << m > DEFAULT_MAX_DIM:
+        if m > DEFAULT_MAX_DIM.bit_length() - 1:  # an exponent: m may be read from a file
             raise ValueError(f"at most {DEFAULT_MAX_DIM.bit_length() - 1} qubits are supported, "
                              f"got {m}")
         cases = [Placement(WIRE, 0, m, 0, None)]

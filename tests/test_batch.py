@@ -115,6 +115,13 @@ def test_batch_matches_scalar_evaluator(gate_sets, data, extended, m, g):
     assert_scores_equal(evaluate_batch(np.array(rows), table, GOALS[m], FP), refs)
 
 
+def kernel_batch(kernel, rows, table, goal, params=FP):
+    """`evaluate_batch` with the named kernel, "block" or "row_sparse", picked
+    by the crossover patched to below or above every matrix size."""
+    with mock.patch.object(evaluate, "BLOCK_MIN_DIM", 1 if kernel == "block" else math.inf):
+        return evaluate_batch(rows, table, goal, params)
+
+
 def per_placement_batch(indices, table, goal, params):
     """The evaluator the row-sparse one replaced: per gate position, each
     placement present is applied with the structured kernel to its rows."""
@@ -158,12 +165,12 @@ def test_batch_matches_per_placement_loop(gate_sets, data, extended, m, g, chunk
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), extended=st.booleans(), g=st.integers(1, 8))
 def test_block_and_row_sparse_kernels_agree(gate_sets, m, data, extended, g):
-    # both kernels called directly, whatever evaluate_batch would pick at this m
+    # both kernels, whatever evaluate_batch would pick at this m
     table = gate_sets[extended].table(m)
     row = st.lists(st.integers(0, len(table) - 1), min_size=g, max_size=g)
     rows = np.array(data.draw(st.lists(row, min_size=1, max_size=6)) + [[0] * g])
-    block = evaluate.block_correctness(rows, table, GOALS[m])
-    row_sparse = evaluate.row_sparse_correctness(rows, table, GOALS[m])
+    block = kernel_batch("block", rows, table, GOALS[m])[1]
+    row_sparse = kernel_batch("row_sparse", rows, table, GOALS[m])[1]
     fitness, corr, cost = evaluate_batch(rows, table, GOALS[m], FP)
     assert block.tolist() == row_sparse.tolist() == corr.tolist()
     assert cost.tolist() == table.costs[rows].sum(axis=1).tolist()
@@ -210,7 +217,7 @@ def test_block_head_matches_scalar_evaluator(gate_sets, data, extended, m, g, ch
     rows = np.array([row + [0] * (length - len(row)) for row in rows + head_rows(table, extended)])
     budget = evaluate.CHUNK_BYTES if chunk is None else chunk * 16 * (1 << 2 * m)
     with mock.patch.object(evaluate, "CHUNK_BYTES", budget):
-        corr = evaluate.block_correctness(rows, table, GOALS[m])
+        corr = kernel_batch("block", rows, table, GOALS[m])[1]
     refs = [evaluate_circuit([table.cases[i] for i in row], GOALS[m], FP).correctness
             for row in rows]
     assert corr.tolist() == refs
@@ -270,25 +277,43 @@ def test_batch_correctness_ignores_a_global_phase_on_the_goal(data, m, g, phase)
 
 @pytest.mark.parametrize("bad_row", [-1, 4])
 def test_batch_rejects_a_read_outside_the_chunk(gate_sets, bad_row):
-    # the gathers clip, so a table that reads outside the chunk (one 4x4
-    # matrix: flat rows 0..3) must raise instead
+    # the gathers clip, so a table that reads outside its matrix (4x4: rows
+    # 0..3), where a chunk's next matrix or nothing lies, is not built
     table = gate_sets[0].table(2)
     cols = table.cols.copy()
     cols[1, 0, 0] = bad_row
-    bad = dataclasses.replace(table, cols=cols)
-    with pytest.raises(IndexError):
-        evaluate_batch(np.array([[1, 0]]), bad, GOALS[2], FP)
-    # two rows share a chunk (flat rows 0..7), where row 4 is the second
-    # matrix's: the read must still raise
-    with pytest.raises(IndexError):
-        evaluate_batch(np.array([[1, 0], [2, 0]]), bad, GOALS[2], FP)
+    with pytest.raises(IndexError, match="^placement table reads outside the 4 rows of a matrix$"):
+        dataclasses.replace(table, cols=cols)
+    # and a built table's checked reads cannot change
+    for array in (table.costs, table.cols, table.vals, table.width):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = bad_row
+
+
+@pytest.mark.parametrize("g", [1, 2, 4])
+def test_huge_cost_rows_score_as_the_scalar_evaluator_or_are_rejected(tmp_path, g):
+    # one gate of cost 2^62 fits in int64, where the batch sums costs; the
+    # rows of two or more could sum past it, which wrapped to a negative cost
+    path = tmp_path / "gates.json"
+    x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
+    path.write_text(json.dumps([gate_entry("X", x_gate, 1 << 62)]))
+    table = extend_gate_set(default_gate_set(), path).table(2)
+    x = table.index[("X", 0)]
+    rows = np.array([[x] * g, [x] + [0] * (g - 1)])
+    goal, fp = builtin("swap"), FitnessParams(satcost=6)
+    if g * (1 << 62) >= 1 << 63:
+        with pytest.raises(ValueError, match=rf"^the cost of {g} gates must be below 2\^63, got"):
+            evaluate_batch(rows, table, goal, fp)
+    else:
+        refs = [evaluate_circuit([table.cases[i] for i in row], goal, fp) for row in rows]
+        assert_scores_equal(evaluate_batch(rows, table, goal, fp), refs)
 
 
 @pytest.mark.parametrize("bad_index", [-1, 9])
 def test_batch_rejects_an_index_outside_the_table(gate_sets, bad_index):
     table = gate_sets[0].table(2)  # 9 placements
     with pytest.raises(IndexError):
-        evaluate.row_sparse_correctness(np.array([[1, 2], [bad_index, 0]]), table, GOALS[2])
+        kernel_batch("row_sparse", np.array([[1, 2], [bad_index, 0]]), table, GOALS[2])
 
 
 @pytest.mark.parametrize("bad_index", [-1, 24])
@@ -300,7 +325,7 @@ def test_block_kernel_rejects_an_index_outside_the_table(gate_sets, bad_index):
     rows = np.array([[1, 2], [bad_index, 3]])
     message = r"^placement indices outside \[0, 24\)$"
     with pytest.raises(IndexError, match=message):
-        evaluate.block_correctness(rows, table, GOALS[5])
+        kernel_batch("block", rows, table, GOALS[5])
     with pytest.raises(IndexError, match=message):
         evaluate_batch(rows, table, GoalSpec(5, np.eye(32)), FitnessParams(satcost=2))
 

@@ -510,3 +510,88 @@ def test_console_script_is_the_cli_main():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+X_MATRIX = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("argv, cost, message", [
+    # four gates of cost 2^62 sum past int64: the batch cost wrapped to a
+    # negative number, and synth returned that circuit as its best
+    (["synth", "--goal", "swap", "--g", "4", "--max-gen", "30", "--out-dir", "out"], 1 << 62,
+     "the cost of 4 gates must be below 2^63, got 18446744073709551616"),
+    (["brute", "--goal", "swap", "--max-gates", "4"], 1 << 62,
+     "the cost of 4 gates must be below 2^63, got 18446744073709551616"),
+    # a cost that no int64 holds raised OverflowError building the table
+    (["brute", "--goal", "swap", "--max-gates", "1"], 1e19,
+     "gate 'X': cost must be below 2^63, got 10000000000000000000"),
+], ids=["synth-sum", "brute-sum", "gate"])
+def test_gate_cost_past_int64_exits_1(tmp_path, capsys, monkeypatch, argv, cost, message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "gates.json"
+    path.write_text(json.dumps([{"name": "X", "arity": 1, "cost": cost, "matrix": X_MATRIX}]))
+    code, out, err = run(capsys, *argv, "--gate-file", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags", [["--satcost", str(10 ** 20)], ["--config", "cfg.json"]],
+                         ids=["flag", "config"])
+def test_satcost_past_int64_exits_1(tmp_path, capsys, monkeypatch, flags):
+    # the fitness subtraction raised OverflowError
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"satcost": 1e20}))
+    code, out, err = run(capsys, "synth", "--goal", "swap", "--max-gen", "2", *flags,
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", "error: satcost must be below 2^63, "
+                                       "got 100000000000000000000\n")
+
+
+@pytest.mark.parametrize("field, value, argv, message", [
+    # the fitness subtraction raised OverflowError
+    ("optimal_cost", 10 ** 30, ["synth", "--max-gen", "2", "--out-dir", "out"],
+     f"goal optimal_cost must be below 2^63, got {10 ** 30}"),
+    # 1 << qubits raised MemoryError, and a negative count "negative shift count"
+    ("qubits", 10 ** 18, ["brute", "--max-gates", "1"],
+     f"goal matrix of shape (4, 4) is not 2^qubits x 2^qubits (qubits={10 ** 18})"),
+    ("qubits", -1, ["brute", "--max-gates", "1"],
+     "goal matrix of shape (4, 4) is not 2^qubits x 2^qubits (qubits=-1)"),
+], ids=["optimal_cost", "huge-qubits", "negative-qubits"])
+def test_goal_file_number_out_of_range_exits_1(tmp_path, capsys, monkeypatch, field, value, argv,
+                                              message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "goal.json"
+    save_goal(builtin("entangle2"), path)
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, "--goal-file", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_verify_a_circuit_on_a_huge_qubit_count_exits_1(tmp_path, capsys):
+    # 1 << qubits raised MemoryError
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"qubits": 10 ** 18, "gates": [{"gate": "H", "top": 0}]}))
+    code, out, err = run(capsys, "verify", "--goal", "entangle2", "--circuit", str(path))
+    assert (code, out, err) == (1, "", f"error: at most 10 qubits are supported, got {10 ** 18}\n")
+
+
+def test_a_gate_budget_too_large_to_hold_exits_1(tmp_path, capsys):
+    # the population alone is 20 x 4 x 10^15 float64s, past any address space,
+    # so the allocation fails whatever the machine's overcommit setting; numpy's
+    # MemoryError was a traceback
+    code, out, err = run(capsys, "synth", "--goal", "swap", "--g", str(10 ** 15),
+                         "--out-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
+def test_a_memory_error_without_a_message_exits_1(monkeypatch, tmp_path, capsys):
+    from oracle_forge import cli
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "evolve", out_of_memory)
+    code, out, err = run(capsys, "synth", "--goal", "swap", "--out-dir", str(tmp_path))
+    assert (code, out, err) == (1, "", "error: out of memory\n")
