@@ -16,20 +16,30 @@ bit up to the sign of an exact zero, which no correctness sees.  A node's
 correctness followed by a sequence s is |vec(O_s^T) . vec(V)| / 2^m, and a
 suffix block holds vec(O_s^T) for every s of 0..L gates in DFS preorder.
 
-The walk's last c levels are scored a clan at a time.  A node c levels above
-the walk's last level (the clan's root) builds all of its descendants down
-to that level as stacks, one block step per placement on each whole level,
-takes the inner nodes' traces and scores every leaf with one product with
-the block.  A clan plan numbers every sequence of 0..c+L gates below the
-root in preorder, with its cost.  One pass over the matches in that order
-keeps the running best and counts what lies between two matches that lower
-it with one array comparison, so the result, the witness and the number of
-circuits examined are those of the node-by-node walk.  Block and plan hold
-no goal and are kept on the placement table.  c is the largest number of
-walk levels whose stacks and leaf product each fit in BLOCK_BYTES: 2 on two
-and three qubits with the default gates, 1 on four.  Both traces sum in
-another order than `evaluate.correctness`, so a node within rounding (about
-1e-12) of `1 - eps` may be decided differently from `evaluate_circuit`.
+The walk's last c levels are scored a clan at a time.  A clan plan keeps
+vec(O_s) of every sequence s of 0..c gates, built once from the identity:
+for a node c levels above the walk's last level (the clan's root) with
+operator V, one product with vec(V^T) gives every inner node's trace
+tr(O_s V), and one (n^c 2^m x 2^m) by (2^m x 2^m) product gives the leaves
+O_s V.  A leaf b and a block row a match iff |a . b| >= 2^m (1 - eps).
+The block keeps f(a) = |a . p| of its rows, sorted, for a fixed real unit
+probe p; f is phase-invariant and 1-Lipschitz, and a match forces
+min_phi |e^(i phi) conj(a) - b| <= R = sqrt(|a|^2 + |b|^2 - 2^(m+1) (1 - eps)),
+so one searchsorted finds, for every leaf, the rows whose f lies within R
+(with the largest |a|^2, plus a rounding bound) of the leaf's.  A second
+probe screens those pairs the same way, and only the rest get the exact
+test: about 1 pair in 100 on two qubits at eps = 1e-6.  The plan also
+numbers every sequence of 0..c+L gates below the root in preorder, with its
+cost.  One pass over the matches in that order keeps the running best and
+counts what lies between two matches that lower it with one array
+comparison, so the result, the witness and the number of circuits examined
+are those of the node-by-node walk.  Block and plan hold no goal and are
+kept on the placement table.  c is the largest number of walk levels whose
+tables (and so a query's leaves) and whose plan, as built, each fit in
+BLOCK_BYTES: 2 on two and three qubits with the default gates, 1 on four.
+The traces and the exact test sum in another order than
+`evaluate.correctness`, so a node within rounding (about 1e-12) of `1 - eps`
+may be decided differently from `evaluate_circuit`.
 """
 from __future__ import annotations
 
@@ -47,7 +57,8 @@ from .linalg import identity
 
 # Memory for the suffix block's rows of 1..L gates, which fixes its depth L
 # for a given qubit count and gate set (the empty sequence's row is one
-# more), and again for a clan's stacks and for its leaves' block product.
+# more), and again for a clan's operator tables, for its plan as built and
+# for each chunk of the pairs the index gives the exact test.
 BLOCK_BYTES = 1 << 20
 
 
@@ -105,15 +116,17 @@ def expand(steps, level: np.ndarray) -> np.ndarray:
     return out
 
 
-def clan_depth(n_gates: int, dim: int, walk_depth: int, block_rows: int) -> int:
-    """Largest c <= walk_depth such that a clan's c levels below its root,
-    as stacks, and its leaves' product with a block of `block_rows` rows
-    each fit in BLOCK_BYTES."""
-    # the stacks hold as many matrices as a block of depth c has rows of 1..c gates
-    depth = block_depth(n_gates, dim, walk_depth)
-    while depth and block_rows * n_gates ** depth * 16 > BLOCK_BYTES:
-        depth -= 1
-    return depth
+def clan_depth(n_gates: int, dim: int, walk_depth: int, depth: int) -> int:
+    """Largest c <= walk_depth such that a clan's operator tables, c levels
+    below its root, and its plan of every sequence of up to c + depth gates,
+    as built, each fit in BLOCK_BYTES."""
+    # the tables hold one matrix more than a block of depth c has rows of 1..c
+    # gates, and a query's leaves fewer; the plan is built as an int64
+    # position and cost per sequence
+    c = block_depth(n_gates, dim, walk_depth)
+    while c and node_count(n_gates, c + depth) * 16 > BLOCK_BYTES:
+        c -= 1
+    return c
 
 
 def preorder_levels(op_costs: np.ndarray, depth: int) -> list:
@@ -132,10 +145,14 @@ def preorder_levels(op_costs: np.ndarray, depth: int) -> list:
 
 
 class SuffixBlock:
-    """Every gate sequence of length 0..depth in DFS preorder, as one matrix.
+    """Every gate sequence of length 0..depth in DFS preorder, as one matrix,
+    with a projection index for finding its matches.
 
     `rows[i]` is vec(O_s^T) for the i-th sequence s (row 0 the empty one,
-    vec(I)).  The block depends only on the placement table and depth.
+    vec(I)).  For two fixed real unit probes p and q, `keys` holds f(a) =
+    |a . p| of every row a in increasing order, `order` the rows' positions
+    in that order and `screen` their |a . q|; `max_norm` is the largest
+    |a|^2.  The block depends only on the placement table and depth.
     """
 
     def __init__(self, table: PlacementTable, depth: int):
@@ -151,17 +168,60 @@ class SuffixBlock:
             if d:
                 level = expand(steps, level)
             self.rows[pos] = level.reshape(-1, dim * dim)
+        # p and q share no structure with the gates' entries, so that the
+        # rows' projections spread out: the fractional parts of sqrt(2),
+        # sqrt(3), ..., centred, dim^2 for each probe in turn
+        probes = (np.sqrt(np.arange(2, 2 * dim * dim + 2)) % 1 - 0.5).reshape(2, dim * dim)
+        self.probes = (probes.T / np.sqrt((probes * probes).sum(axis=1))).astype(complex)
+        keys, screen = np.abs(self.rows @ self.probes).T
+        self.order = np.argsort(keys)
+        self.keys, self.screen = keys[self.order], screen[self.order]
+        self.max_norm = float(np.vecdot(self.rows, self.rows).real.max())
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def matches(self, leaves: np.ndarray, bound: float):
+        """Yield (j, r), index arrays of every leaf j and row r with
+        |rows[r] . leaves[j]| >= bound, a chunk of pairs at a time.
+
+        A match forces min_phi |e^(i phi) conj(a) - b| <= R = sqrt(|a|^2 +
+        |b|^2 - 2 bound), and a projection |x . p| on a real unit probe is
+        phase-invariant and 1-Lipschitz, so each probe's projections of a and
+        b lie within R, plus rounding, of each other.  One searchsorted finds
+        the rows whose key lies within R of the leaf's, the screen drops the
+        pairs that q sets further apart, and only the rest get the exact test.
+        """
+        norms = np.vecdot(leaves, leaves).real
+        # bounds the rounding of each dot product, norm and projection here:
+        # each sums dim^2 terms of vectors whose norms are at most sqrt(|a|^2 + |b|^2)
+        err = leaves.shape[1] * np.finfo(float).eps * (self.max_norm + norms)
+        radius = np.sqrt(np.maximum(self.max_norm + norms - 2 * bound, 0) + 4 * err) + 2 * err
+        f, g = np.abs(leaves @ self.probes).T
+        lo, hi = np.searchsorted(self.keys, [f - radius, f + radius])
+        # pair k is leaf j's row k - ends[j] + hi[j] in key order
+        ends = np.cumsum(hi - lo)
+        shift, pairs = hi - ends, int(ends[-1])
+        chunk = max(1, BLOCK_BYTES // (16 * leaves.shape[1]))
+        for start in range(0, pairs, chunk):
+            k = np.arange(start, min(start + chunk, pairs))
+            j = np.searchsorted(ends, k, side="right")
+            k += shift[j]
+            near = np.abs(self.screen[k] - g[j]) <= radius[j]
+            j, r = j[near], self.order[k[near]]
+            hit = np.abs(np.einsum("ij,ij->i", self.rows[r], leaves[j])) >= bound
+            yield j[hit], r[hit]
 
 
 class ClanPlan:
     """Every gate sequence of 0..clan + depth gates below a clan's root in DFS
     preorder: the clan's levels and a suffix block below each leaf.  `costs[p]`
-    is the p-th sequence's cost; `inner[d]` and `leaves` are the positions of
-    the clan's level-d nodes (d < clan) and leaves in the order `expand` builds
-    them, so leaf j then block row r is sequence `leaves[j] + r`."""
+    is the p-th sequence's cost.  `inner` holds the positions of the clan's
+    nodes above its last level, level by level, and `leaves` those of its
+    last level, each level in the order `expand` builds it; leaf j then block
+    row r is sequence `leaves[j] + r`.  `inner_ops[i]` is vec(O_s) of the
+    sequence s at `inner[i]`, and `leaf_ops` stacks the leaves' O_s, one
+    2^m-row slice each, so that the leaves below a root V are `leaf_ops @ V`."""
 
     def __init__(self, table: PlacementTable, depth: int, clan: int):
         n, total = len(table) - 1, clan + depth
@@ -172,8 +232,17 @@ class ClanPlan:
         # the narrowest type that holds every cost: less memory for each count to scan
         self.costs = self.costs.astype(np.min_scalar_type(self.costs.max()))
         # `expand` builds a level with the last gate most significant
-        *self.inner, self.leaves = (pos.reshape((n,) * d).T.ravel()
-                                    for d, (pos, _) in enumerate(levels[:clan + 1]))
+        positions = np.concatenate([pos.reshape((n,) * d).T.ravel()
+                                    for d, (pos, _) in enumerate(levels[:clan + 1])])
+        dim = table.cols.shape[1]
+        ops = [identity(dim)[None]]
+        for _ in range(clan):
+            ops.append(expand(table.steps[1:], ops[-1]))
+        ops = np.concatenate(ops)
+        k = node_count(n, clan - 1)  # the inner nodes
+        self.inner, self.leaves = positions[:k], positions[k:]
+        self.inner_ops = ops[:k].reshape(k, dim * dim)
+        self.leaf_ops = ops[k:].reshape(-1, dim)
         self.subtree = [node_count(n, total - d) for d in range(1, total + 1)]
 
     def decode(self, p: int) -> tuple:
@@ -213,8 +282,11 @@ def min_cost_search(
     depth = block_depth(n, dim, max_gates)
     block = table.kept((SuffixBlock, depth), lambda: SuffixBlock(table, depth))
     walk_depth = max_gates - depth
-    clan = clan_depth(n, dim, walk_depth, len(block))
+    clan = clan_depth(n, dim, walk_depth, depth)
     plan = table.kept((ClanPlan, depth, clan), lambda: ClanPlan(table, depth, clan))
+    # |tr(O_s V)| is dim times the correctness; dim is a power of two, so
+    # comparing it with dim * threshold decides as the correctness does
+    min_trace = dim * threshold
 
     best_cost = sys.maxsize  # nothing matched yet
     best_seq: tuple | None = None
@@ -224,20 +296,12 @@ def min_cost_search(
         """Examine the node (cost, seq) with operator v and every sequence of
         up to clan + depth gates below it, in the walk's preorder."""
         nonlocal best_cost, best_seq, examined
-        levels = [v[None]]
-        for _ in range(clan):
-            levels.append(expand(steps, levels[-1]))
-        leaves = levels.pop()
-        # the matches' positions: the inner nodes' by their traces, the rest by
-        # |tr(O_s V)|, dim times the correctness; dim is a power of two, so
-        # comparing it with dim * threshold decides as the correctness does
-        found = [pos[np.abs(np.trace(level, axis1=1, axis2=2)) / dim >= threshold]
-                 for pos, level in zip(plan.inner, levels)]
-        hit = np.abs(block.rows @ leaves.reshape(len(leaves), -1).T) >= dim * threshold
-        if hit.any():
-            r, j = np.divmod(np.flatnonzero(hit), len(leaves))  # a 2-D nonzero is 10x slower
-            found.append(plan.leaves[j] + r)
-        hits = np.sort(np.concatenate(found)) if found else plan.leaves[:0]
+        # the matches' positions: the inner nodes' by their traces
+        # tr(O_s V) = vec(O_s) . vec(V^T), the rest by the index
+        found = [plan.inner[np.abs(plan.inner_ops @ v.T.ravel()) >= min_trace]]
+        leaves = (plan.leaf_ops @ v).reshape(len(plan.leaves), dim * dim)
+        found += [plan.leaves[j] + r for j, r in block.matches(leaves, min_trace)]
+        hits = np.sort(np.concatenate(found))
         # a sequence is examined iff it costs less than the best before it, so
         # only the matches that lower the best split the count
         bound, start, last = best_cost - cost, 0, None

@@ -30,6 +30,29 @@ from .gates import default_gate_set, extend_gate_set, whole_number
 from .kron_apply import BENCH_CSV_HEADER, benchmark_sweep
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits 1 like every other usage
+    error: status 2 means that max_gen ran out without success."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def whole(text: str) -> int:
+    """An integer flag's value, read by the file rule (`gates.whole_number`):
+    2, 2.0 and 1e1 are whole numbers, 1.5 and inf are not."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return whole_number(float(text), "the value")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"the value must be a whole number, got {text!r}") \
+            from None
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser and its subcommand parsers by name."""
     fitness = {f.name: f.default for f in fields(FitnessParams)}
@@ -37,7 +60,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     brute = inspect.signature(min_cost_search).parameters
     bench = inspect.signature(benchmark_sweep).parameters
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oracle-forge",
         description="Synthesize quantum circuits from a target unitary with a "
         "quantum-inspired evolutionary search.",
@@ -51,15 +74,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def add_run_flags(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--satcost", type=int, help="default: the goal's optimal cost, else 0")
-        p.add_argument("--g", type=int, default=8, help="maximal number of gates per circuit")
+        p.add_argument("--satcost", type=whole, help="default: the goal's optimal cost, else 0")
+        p.add_argument("--g", type=whole, default=8, help="maximal number of gates per circuit")
         p.add_argument("--award", type=float, default=fitness["award"])
         p.add_argument("--punish", type=float, default=fitness["punish"])
         p.add_argument("--eps", type=float, default=fitness["eps"])
-        p.add_argument("--max-gen", type=int, default=hqea["max_gen"])
-        p.add_argument("--pop", type=int, default=hqea["pop_size"])
-        p.add_argument("--measurements", type=int, default=hqea["measurements"])
-        p.add_argument("--seed", type=int, default=hqea["seed"])
+        p.add_argument("--max-gen", type=whole, default=hqea["max_gen"])
+        p.add_argument("--pop", type=whole, default=hqea["pop_size"])
+        p.add_argument("--measurements", type=whole, default=hqea["measurements"])
+        p.add_argument("--seed", type=whole, default=hqea["seed"])
 
     p_synth = sub.add_parser("synth", help="run one synthesis and save the best circuit")
     add_goal_flags(p_synth)
@@ -71,7 +94,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_exp = sub.add_parser("experiment", help="run seeded batches and print ST/AS/OT rows")
     add_goal_flags(p_exp)
     add_run_flags(p_exp)
-    p_exp.add_argument("--runs", type=int, default=20)
+    p_exp.add_argument("--runs", type=whole, default=20)
     p_exp.add_argument("--punish-sweep", type=float, nargs="+",
                        help="run one batch per punish value")
     p_exp.add_argument("--csv", help="also write the rows to this CSV file")
@@ -80,23 +103,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_ver = sub.add_parser("verify", help="score a saved circuit against a goal")
     add_goal_flags(p_ver)
     p_ver.add_argument("--circuit", required=True, help="circuit JSON file")
-    p_ver.add_argument("--satcost", type=int, help="default: the goal's optimal cost, else 0")
+    p_ver.add_argument("--satcost", type=whole, help="default: the goal's optimal cost, else 0")
     p_ver.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench-matmul", help="structured vs naive multiplication counts")
-    p_bench.add_argument("--max-total", type=int, default=bench["max_total"].default,
+    p_bench.add_argument("--max-total", type=whole, default=bench["max_total"].default,
                          help="sweep all power-of-two (m,n,k) with m*n*k <= this")
-    p_bench.add_argument("--triple", type=int, nargs=3, action="append", metavar=("M", "N", "K"),
+    p_bench.add_argument("--triple", type=whole, nargs=3, action="append", metavar=("M", "N", "K"),
                          help="benchmark an explicit triple instead of the sweep")
-    p_bench.add_argument("--seed", type=int, default=bench["seed"].default)
+    p_bench.add_argument("--seed", type=whole, default=bench["seed"].default)
     p_bench.add_argument("--csv", help="write rows to this file instead of stdout")
     p_bench.set_defaults(func=cmd_bench)
 
     p_brute = sub.add_parser("brute", help="exhaustive minimal-cost search")
     add_goal_flags(p_brute)
-    p_brute.add_argument("--max-gates", type=int, required=True)
+    p_brute.add_argument("--max-gates", type=whole, required=True)
     p_brute.add_argument("--eps", type=float, default=brute["eps"].default)
-    p_brute.add_argument("--budget", type=int, default=brute["budget"].default)
+    p_brute.add_argument("--budget", type=whole, default=brute["budget"].default)
     p_brute.add_argument("--out", help="write the JSON report to this file")
     p_brute.set_defaults(func=cmd_brute)
 
@@ -119,7 +142,7 @@ def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
 
 def _config_value(key: str, val, kind):
     """A config value checked against, and converted to, its flag's type (None: a string)."""
-    if kind is int:
+    if kind is whole:
         return whole_number(val, f"config {key!r}")
     if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
         return float(val)

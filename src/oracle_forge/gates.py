@@ -28,6 +28,8 @@ import numpy as np
 from .kron_apply import StructuredOperator, block_step
 from .linalg import DEFAULT_MAX_DIM, as_matrix, require_unitary
 
+MAX_QUBITS = DEFAULT_MAX_DIM.bit_length() - 1  # the most qubits a placement table is built for
+
 WIRE = "wire"
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -220,9 +222,8 @@ class GateSet:
     def _build_table(self, m: int) -> PlacementTable:
         if m < 1:
             raise ValueError("qubit count must be at least 1")
-        if m > DEFAULT_MAX_DIM.bit_length() - 1:  # an exponent: m may be read from a file
-            raise ValueError(f"at most {DEFAULT_MAX_DIM.bit_length() - 1} qubits are supported, "
-                             f"got {m}")
+        if m > MAX_QUBITS:  # an exponent: m may be read from a file
+            raise ValueError(f"at most {MAX_QUBITS} qubits are supported, got {m}")
         cases = [Placement(WIRE, 0, m, 0, None)]
         for g in self.one_qubit:
             for q in range(m):

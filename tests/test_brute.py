@@ -106,6 +106,8 @@ def test_controlled_s_min_cost_is_ten(gs):
     assert report.circuits_examined == 57961016
     assert len(report.witness) <= 9
     assert sum(p.cost for p in report.witness) == 10
+    assert [(p.name, p.top) for p in report.witness] == [
+        ("T", 0), ("T", 1), ("CNOT", 0), ("S", 1), ("S", 1), ("S", 1), ("T", 1), ("CNOT", 0)]
     assert correctness(circuit_unitary(report.witness, 2), goal) >= 1 - 1e-6
 
 
@@ -188,20 +190,21 @@ def test_block_depth_fits_the_block_memory():
 
 def test_clan_depth_fits_the_block_memory():
     # default gate set: two walk levels on two and three qubits, one on four
-    assert clan_depth(8, 4, 100, 585) == 2
-    assert clan_depth(13, 8, 100, 183) == 2
-    assert clan_depth(18, 16, 100, 19) == 1
-    assert clan_depth(8, 4, 1, 585) == 1  # capped at the walk depth
-    assert clan_depth(8, 4, 0, 585) == 0
-    assert clan_depth(0, 2, 5, 1) == 0
+    assert clan_depth(8, 4, 100, 3) == 2
+    assert clan_depth(13, 8, 100, 2) == 2
+    assert clan_depth(18, 16, 100, 1) == 1
+    assert clan_depth(8, 4, 1, 3) == 1  # capped at the walk depth
+    assert clan_depth(8, 4, 0, 3) == 0
+    assert clan_depth(0, 2, 5, 0) == 0
     for n, dim in ((3, 2), (8, 4), (13, 8), (18, 16), (20, 8)):
-        rows = node_count(n, block_depth(n, dim, 100))
-        c = clan_depth(n, dim, 100, rows)
-        # the clan's levels and its leaves' product fit; one more level does not
+        depth = block_depth(n, dim, 100)
+        c = clan_depth(n, dim, 100, depth)
+        # the clan's tables and its plan as built (an int64 position and cost
+        # per sequence) fit; one more level does not
         assert (node_count(n, c) - 1) * 16 * dim * dim <= BLOCK_BYTES
-        assert rows * n ** c * 16 <= BLOCK_BYTES
+        assert node_count(n, c + depth) * 16 <= BLOCK_BYTES
         assert ((node_count(n, c + 1) - 1) * 16 * dim * dim > BLOCK_BYTES
-                or rows * n ** (c + 1) * 16 > BLOCK_BYTES)
+                or node_count(n, c + 1 + depth) * 16 > BLOCK_BYTES)
 
 
 def reference_search(goal, max_gates, gs, eps=1e-6, prune=True):
@@ -294,16 +297,20 @@ def small_gate_set(base, name):
 
 # (gate set, m, BLOCK_BYTES, max_gates, (L, c)): a smaller block memory makes
 # the block depth L small and lets the clan depth c reach 2, or 3 where the
-# leaves' product fits, with reference trees of at most a few thousand nodes
+# plan fits, with reference trees of at most a few thousand nodes
 @pytest.mark.parametrize("name, m, block_bytes, max_gates, expected", [
     ("default", 1, 64, 3, (0, 0)),  # every last-level node is a clan of its own
-    ("default", 1, 1000, 4, (2, 1)),  # c held below L by the leaves' product
-    ("default", 1, 1872, 4, (2, 2)),  # one clan, rooted at the root
-    ("default", 1, 1872, 5, (2, 2)),  # clans rooted one level down
-    ("default", 2, 74752, 4, (2, 2)),
+    ("default", 1, 1000, 4, (2, 1)),  # c held below L by the plan
+    # the plans of one more level take 1936 and 74896 bytes as built
+    ("default", 1, 1872, 4, (2, 1)),
+    ("default", 1, 1872, 5, (2, 1)),
+    ("default", 2, 74752, 4, (2, 1)),
     ("CNOT", 2, 4096, 6, (3, 3)),
     ("CNOT", 2, 4096, 7, (3, 3)),
     ("H", 3, 40960, 6, (3, 3)),
+    ("default", 1, 1936, 4, (2, 2)),  # one clan, rooted at the root
+    ("default", 1, 1936, 5, (2, 2)),  # clans rooted one level down
+    ("default", 2, 74896, 4, (2, 2)),
 ])
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(data=st.data(), reachable=st.booleans(), eps=st.sampled_from([1e-6, 0.05, 0.4]))
@@ -315,7 +322,7 @@ def test_clan_search_matches_recursive_dfs(gate_sets, name, m, block_bytes, max_
     goal = draw_goal(data, table, m, reachable)
     with mock.patch.object(brute, "BLOCK_BYTES", block_bytes):
         block = block_depth(n_gates, 1 << m, max_gates)
-        clan = clan_depth(n_gates, 1 << m, max_gates - block, node_count(n_gates, block))
+        clan = clan_depth(n_gates, 1 << m, max_gates - block, block)
         assert (block, clan) == expected
         assert_matches_reference(goal, max_gates, gs, eps)
 
@@ -424,21 +431,124 @@ def test_clan_plan_numbers_every_sequence_in_preorder(gate_sets, m, depth, clan)
         sequences = list(preorder(n, clan + depth))
         assert plan.costs.tolist() == [sum(table.costs[1 + g] for g in seq) for seq in sequences]
         assert [plan.decode(p) for p in range(len(sequences))] == sequences
-        # the clan's levels as the search builds them, from the identity: each
-        # position's sequence is the one whose unitary the level holds there
-        level = identity(dim)[None]
-        for d, positions in enumerate(plan.inner + [plan.leaves]):
-            if d:
-                level = expand(table.steps[1:], level)
-            assert len(positions) == len(level) == n ** d
-            for p, v in zip(positions, level):
-                circuit = [table.cases[1 + g] for g in sequences[p]]
-                assert len(circuit) == d
-                assert np.allclose(v, circuit_unitary(circuit, m), rtol=0, atol=1e-12)
+        # the kept tables are the clan's levels as `expand` builds them from
+        # the identity, the inner ones level by level: each position's
+        # sequence is the one whose unitary the tables hold there
+        levels = [identity(dim)[None]]
+        for _ in range(clan):
+            levels.append(expand(table.steps[1:], levels[-1]))
+        assert plan.leaf_ops.tobytes() == levels[-1].tobytes()
+        assert plan.inner_ops.tobytes() == b"".join(level.tobytes() for level in levels[:-1])
+        assert len(plan.inner) == len(plan.inner_ops) == node_count(n, clan - 1)
+        positions = np.concatenate([plan.inner, plan.leaves])
+        for p, v in zip(positions, np.concatenate(levels)):
+            circuit = [table.cases[1 + g] for g in sequences[p]]
+            assert np.allclose(v, circuit_unitary(circuit, m), rtol=0, atol=1e-12)
+        assert [len(sequences[p]) for p in positions] == [d for d in range(clan + 1)
+                                                          for _ in range(n ** d)]
         # leaf j followed by block row r is sequence leaves[j] + r
         suffixes = list(preorder(n, depth))
         for leaf in plan.leaves:
             assert sequences[leaf:leaf + len(suffixes)] == [sequences[leaf] + s for s in suffixes]
+
+
+def near_threshold_goal(rng, circuit, m, target):
+    """exp(i delta H) U times a random phase, for the circuit's unitary U and a
+    random Hermitian H, with delta set so that the circuit's correctness is
+    `target`: |tr(exp(-i delta H))| / 2^m, which falls from 1 as delta grows
+    from 0."""
+    dim = 1 << m
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    lam, vecs = np.linalg.eigh(z + z.conj().T)
+
+    def corr(delta):
+        return abs(np.exp(-1j * delta * lam).sum()) / dim
+
+    lo, hi = 0.0, 1e-6
+    while corr(hi) > target:
+        lo, hi = hi, 2 * hi
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if corr(mid) > target else (lo, mid)
+    rotation = (vecs * np.exp(1j * lo * lam)) @ vecs.conj().T
+    phase = np.exp(2j * math.pi * rng.random())
+    return GoalSpec(m, rotation @ circuit_unitary(circuit, m) * phase)
+
+
+def index_matches(block, leaves, bound):
+    return sorted((j, r) for js, rs in block.matches(leaves, bound)
+                  for j, r in zip(js.tolist(), rs.tolist()))
+
+
+# a goal whose best match's correctness lies eps/100 above or below 1 - eps
+# puts that pair just inside or just outside the index's radius, and far
+# from the rounding in which the index's dot products and a dense product's
+# may differ
+@pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+@pytest.mark.parametrize("eps", [1e-6, 0.05])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_index_finds_the_dense_products_matches_near_the_threshold(gate_sets, m, eps, side):
+    dim = 1 << m
+    bound = dim * (1 - eps)
+    target = 1 - eps + side * eps / 100
+    rng = np.random.default_rng([m, round(eps * 1e6), side + 1])
+    for gs in gate_sets:
+        table = gs.table(m)
+        n = len(table) - 1
+        depth = min(block_depth(n, dim, 100), 2)
+        block, plan = SuffixBlock(table, depth), ClanPlan(table, depth, 1)
+        goals = 0
+        for _ in range(100):
+            if goals == 3:
+                break
+            circuit = [table.cases[i] for i in rng.integers(1, len(table), 1 + depth)]
+            goal = near_threshold_goal(rng, circuit, m, target)
+            # every leaf of a clan rooted at the root, against the whole block
+            leaves = (plan.leaf_ops @ goal.matrix.conj().T).reshape(n, dim * dim)
+            overlaps = np.abs(block.rows @ leaves.T)
+            if abs(overlaps.max() / dim - target) > 1e-12:
+                continue  # the rotation brought another sequence closer
+            goals += 1
+            r, j = np.nonzero(overlaps >= bound)
+            assert index_matches(block, leaves, bound) == sorted(zip(j.tolist(), r.tolist()))
+            assert len(r) > 0 if side > 0 else len(r) == 0
+            assert_matches_reference(goal, 1 + depth, gs, eps)
+        assert goals == 3
+
+
+def test_index_radius_holds_a_match_moved_along_a_probe(gate_sets):
+    # b = conj(a) + t u, u a probe in the phase of conj(a)'s projection on it,
+    # moves that projection by exactly t, as far as any vector t from conj(a)
+    # can; at a bound of |a . b| (less the few ulps in which the index's sum
+    # may differ) the pair lies on the radius when |a|^2 is the block's largest
+    table = gate_sets[1].table(2)
+    block = SuffixBlock(table, 2)
+    norms = np.vecdot(block.rows, block.rows).real
+    for probe in block.probes.T:  # the key's, then the screen's
+        for r in (int(np.argmax(norms)), 0, len(block) // 2, len(block) - 1):
+            a = block.rows[r]
+            proj = a.conj() @ probe
+            u = probe * (proj / abs(proj))
+            for t in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0):
+                for sign in (1, -1):
+                    b = a.conj() + sign * t * u
+                    bound = abs(a @ b) * (1 - 16 * np.finfo(float).eps)
+                    assert (0, r) in index_matches(block, b[None], bound)
+
+
+def test_index_scores_every_pair_in_chunks(gate_sets, monkeypatch):
+    # at eps near 1 every pair lies within the radius; a small block memory
+    # makes the pairs come in many chunks
+    table = gate_sets[1].table(2)
+    block, plan = SuffixBlock(table, 2), ClanPlan(table, 2, 1)
+    rng = np.random.default_rng(5)
+    leaves = (plan.leaf_ops @ random_unitary(rng, 4)).reshape(len(plan.leaves), 16)
+    monkeypatch.setattr(brute, "BLOCK_BYTES", 16 * 16 * 7)
+    for bound in (0.1, 1.0, 2.0):
+        chunks = list(block.matches(leaves, bound))
+        assert len(chunks) == math.ceil(len(block) * len(leaves) / 7)
+        r, j = np.nonzero(np.abs(block.rows @ leaves.T) >= bound)
+        assert index_matches(block, leaves, bound) == sorted(zip(j.tolist(), r.tolist()))
 
 
 def test_queries_on_one_table_share_one_block(gate_sets, monkeypatch):
@@ -548,7 +658,7 @@ def test_clan_hit_at_depth_two_prunes_later_parents_and_their_children(gs):
 @pytest.mark.parametrize("name", ["entangle2", "swap", "controlled_s"])
 def test_clan_pass_matches_the_recursive_dfs(gs, walk, name):
     assert block_depth(8, 4, 100) == WALK_BLOCK
-    assert clan_depth(8, 4, walk, node_count(8, WALK_BLOCK)) == walk
+    assert clan_depth(8, 4, walk, WALK_BLOCK) == walk
     report = assert_matches_reference(builtin(name), WALK_BLOCK + walk, gs)
     if name == "entangle2" and walk == 2:
         # H then CNOT: the optimum is a node on the clan's last level

@@ -138,7 +138,7 @@ def test_verify_a_circuit_on_too_many_qubits_exits_1(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"qubits": 100, "gates": [{"gate": "H", "top": 0}]}))
     code, out, err = run(capsys, "verify", "--goal", "entangle2", "--circuit", str(path))
-    assert (code, out, err) == (1, "", "error: at most 10 qubits are supported, got 100\n")
+    assert (code, out, err) == (1, "", "error: circuit qubits must be from 1 to 10, got 100\n")
 
 
 def test_verify_wrong_goal_not_success(tmp_path, capsys):
@@ -324,7 +324,7 @@ def test_experiment_has_no_out_dir(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--goal", "entangle2", "--runs", "1", "--max-gen", "3",
               "--out-dir", str(tmp_path / "od")])
-    assert exc.value.code == 2
+    assert exc.value.code == 1  # a usage error, not a run that ran out of generations
     assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
     assert not (tmp_path / "od").exists()
     # a config out_dir names no flag of experiment, so it is ignored
@@ -339,7 +339,7 @@ def test_experiment_has_no_out_dir(tmp_path, capsys):
 def test_brute_has_no_config_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["brute", "--goal", "entangle2", "--max-gates", "1", "--config", "x.json"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     capsys.readouterr()
 
 
@@ -573,7 +573,8 @@ def test_verify_a_circuit_on_a_huge_qubit_count_exits_1(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"qubits": 10 ** 18, "gates": [{"gate": "H", "top": 0}]}))
     code, out, err = run(capsys, "verify", "--goal", "entangle2", "--circuit", str(path))
-    assert (code, out, err) == (1, "", f"error: at most 10 qubits are supported, got {10 ** 18}\n")
+    assert (code, out, err) == (1, "",
+                                f"error: circuit qubits must be from 1 to 10, got {10 ** 18}\n")
 
 
 def test_a_gate_budget_too_large_to_hold_exits_1(tmp_path, capsys):
@@ -595,3 +596,69 @@ def test_a_memory_error_without_a_message_exits_1(monkeypatch, tmp_path, capsys)
     monkeypatch.setattr(cli, "evolve", out_of_memory)
     code, out, err = run(capsys, "synth", "--goal", "swap", "--out-dir", str(tmp_path))
     assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
+def test_verify_a_circuit_on_zero_qubits_names_the_field(tmp_path, capsys):
+    path = tmp_path / "none.json"
+    path.write_text(json.dumps({"qubits": 0, "gates": []}))
+    code, out, err = run(capsys, "verify", "--goal", "entangle2", "--circuit", str(path))
+    assert (code, out, err) == (1, "", "error: circuit qubits must be from 1 to 10, got 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--goal", "swap", "--bogus"],
+    ["synth", "--goal", "swap", "--eps", "small"],
+    ["brute", "--goal", "swap"],  # --max-gates is required
+    ["nonesuch"],
+    [],
+], ids=["unknown-flag", "not-a-number", "missing-flag", "unknown-command", "no-command"])
+def test_usage_errors_exit_1_with_argparses_message(capsys, argv):
+    # exit 2 means max_gen ran out without success; a script must tell them apart
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith("usage: oracle-forge") and "error: " in err
+
+
+def test_whole_number_flags_take_a_float_literal_without_a_fraction(tmp_path, capsys):
+    parser, _ = build_parser()
+    args = parser.parse_args(["synth", "--goal", "swap", "--satcost", "2.0", "--max-gen", "1e1",
+                              "--g", "8", "--pop", "2E1", "--seed", "-3.0"])
+    assert (args.satcost, args.max_gen, args.g, args.pop, args.seed) == (2, 10, 8, 20, -3)
+    assert all(type(x) is int for x in (args.satcost, args.max_gen, args.g, args.pop, args.seed))
+    args = parser.parse_args(["bench-matmul", "--triple", "2.0", "1e0", "4", "--max-total", "8.0"])
+    assert args.triple == [[2, 1, 4]] and args.max_total == 8
+    args = parser.parse_args(["brute", "--goal", "swap", "--max-gates", "3.0", "--budget", "1e6"])
+    assert (args.max_gates, args.budget) == (3, 10 ** 6)
+    # and a run takes them, as it takes the same values from a config file
+    circuit = tmp_path / "e2.json"
+    circuit.write_text(json.dumps({"qubits": 2, "gates": [{"gate": "H", "top": 0},
+                                                          {"gate": "CNOT", "top": 0}]}))
+    code, out, _ = run(capsys, "verify", "--goal", "entangle2", "--satcost", "2.0",
+                       "--circuit", str(circuit))
+    assert code == 0 and "satcost:     2\n" in out
+    # punish=1 makes the empty circuit dominate, so every generation runs
+    code, out, _ = run(capsys, "synth", "--goal", "entangle2", "--satcost", "6.0",
+                       "--punish", "1", "--max-gen", "1e1", "--seed", "0",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2 and "generation:  none (of 10 run)\n" in out
+
+
+@pytest.mark.parametrize("flag, value", [("--satcost", "1.5"), ("--max-gen", "2.5e0"),
+                                         ("--g", "inf"), ("--seed", "nan"), ("--pop", "1e400"),
+                                         ("--runs", "many")])
+def test_a_fractional_whole_number_flag_is_rejected_with_the_flag_named(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--goal", "swap", flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.splitlines()[-1] == (f"oracle-forge experiment: error: argument {flag}: "
+                                    f"the value must be a whole number, got {value!r}")
+
+
+def test_a_whole_number_flag_past_int64_reaches_the_cost_check(tmp_path, capsys):
+    code, out, err = run(capsys, "synth", "--goal", "swap", "--satcost", "1e20", "--max-gen", "2",
+                         "--out-dir", str(tmp_path))
+    assert (code, out, err) == (1, "", "error: satcost must be below 2^63, "
+                                       "got 100000000000000000000\n")
