@@ -8,11 +8,13 @@ DFS preorder, and every node below a pruned one is pruned too.
 
 The search walks V = O_seq G^dag, the operator of a node's gate sequence
 times the goal's adjoint: the root is G^dag and a node's correctness
-|tr V| / 2^m.  Only the top `max_gates - L` levels are walked.  Each node's
-V is its parent's times its last placement's block step (see
-`kron_apply.BlockStep`), written into a new array so that the parent's stays
-whole for its siblings; a block step equals the structured product bit for
-bit up to the sign of an exact zero, which no correctness sees.  A node's
+|tr V| / 2^m.  Only the top `max_gates - L` levels are walked; when no
+block fits (L = 0, from six qubits on with the default gates) that is every
+level, each node examined by its own trace.  Each node's V is its parent's
+times its last placement's block step (see `kron_apply.BlockStep`), written
+into a new array so that the parent's stays whole for its siblings; a block
+step equals the structured product bit for bit up to the sign of an exact
+zero, which no correctness sees.  A node's
 correctness followed by a sequence s is |vec(O_s^T) . vec(V)| / 2^m, and a
 suffix block holds vec(O_s^T) for every s of 0..L gates in DFS preorder.
 
@@ -36,7 +38,8 @@ comparison, so the result, the witness and the number of circuits examined
 are those of the node-by-node walk.  Block and plan hold no goal and are
 kept on the placement table.  c is the largest number of walk levels whose
 tables (and so a query's leaves) and whose plan, as built, each fit in
-BLOCK_BYTES: 2 on two and three qubits with the default gates, 1 on four.
+BLOCK_BYTES: 2 on two and three qubits with the default gates, 1 on four
+and five.  A clan of c = 0 levels is its root alone, scored as its one leaf.
 The traces and the exact test sum in another order than
 `evaluate.correctness`, so a node within rounding (about 1e-12) of `1 - eps`
 may be decided differently from `evaluate_circuit`.
@@ -198,7 +201,9 @@ class SuffixBlock:
         err = leaves.shape[1] * np.finfo(float).eps * (self.max_norm + norms)
         radius = np.sqrt(np.maximum(self.max_norm + norms - 2 * bound, 0) + 4 * err) + 2 * err
         f, g = np.abs(leaves @ self.probes).T
-        lo, hi = np.searchsorted(self.keys, [f - radius, f + radius])
+        # the window [f - radius, f + radius] holds both its ends
+        lo = np.searchsorted(self.keys, f - radius, side="left")
+        hi = np.searchsorted(self.keys, f + radius, side="right")
         # pair k is leaf j's row k - ends[j] + hi[j] in key order
         ends = np.cumsum(hi - lo)
         shift, pairs = hi - ends, int(ends[-1])
@@ -221,7 +226,8 @@ class ClanPlan:
     last level, each level in the order `expand` builds it; leaf j then block
     row r is sequence `leaves[j] + r`.  `inner_ops[i]` is vec(O_s) of the
     sequence s at `inner[i]`, and `leaf_ops` stacks the leaves' O_s, one
-    2^m-row slice each, so that the leaves below a root V are `leaf_ops @ V`."""
+    2^m-row slice each, so that the leaves below a root V are `leaf_ops @ V`.
+    A plan of no clan levels has neither: its root is its one leaf."""
 
     def __init__(self, table: PlacementTable, depth: int, clan: int):
         n, total = len(table) - 1, clan + depth
@@ -234,16 +240,18 @@ class ClanPlan:
         # `expand` builds a level with the last gate most significant
         positions = np.concatenate([pos.reshape((n,) * d).T.ravel()
                                     for d, (pos, _) in enumerate(levels[:clan + 1])])
+        self.subtree = [node_count(n, total - d) for d in range(1, total + 1)]
+        k = node_count(n, clan - 1)  # the inner nodes
+        self.inner, self.leaves = positions[:k], positions[k:]
+        if not clan:
+            return  # the root is the clan's one leaf
         dim = table.cols.shape[1]
         ops = [identity(dim)[None]]
         for _ in range(clan):
             ops.append(expand(table.steps[1:], ops[-1]))
         ops = np.concatenate(ops)
-        k = node_count(n, clan - 1)  # the inner nodes
-        self.inner, self.leaves = positions[:k], positions[k:]
         self.inner_ops = ops[:k].reshape(k, dim * dim)
         self.leaf_ops = ops[k:].reshape(-1, dim)
-        self.subtree = [node_count(n, total - d) for d in range(1, total + 1)]
 
     def decode(self, p: int) -> tuple:
         """The gate indices of the p-th sequence."""
@@ -280,10 +288,11 @@ def min_cost_search(
     dim = goal.dim
     threshold = 1.0 - eps
     depth = block_depth(n, dim, max_gates)
-    block = table.kept((SuffixBlock, depth), lambda: SuffixBlock(table, depth))
     walk_depth = max_gates - depth
     clan = clan_depth(n, dim, walk_depth, depth)
-    plan = table.kept((ClanPlan, depth, clan), lambda: ClanPlan(table, depth, clan))
+    if depth:  # else the walk examines every node itself, by its trace
+        block = table.kept((SuffixBlock, depth), lambda: SuffixBlock(table, depth))
+        plan = table.kept((ClanPlan, depth, clan), lambda: ClanPlan(table, depth, clan))
     # |tr(O_s V)| is dim times the correctness; dim is a power of two, so
     # comparing it with dim * threshold decides as the correctness does
     min_trace = dim * threshold
@@ -298,8 +307,11 @@ def min_cost_search(
         nonlocal best_cost, best_seq, examined
         # the matches' positions: the inner nodes' by their traces
         # tr(O_s V) = vec(O_s) . vec(V^T), the rest by the index
-        found = [plan.inner[np.abs(plan.inner_ops @ v.T.ravel()) >= min_trace]]
-        leaves = (plan.leaf_ops @ v).reshape(len(plan.leaves), dim * dim)
+        if clan:
+            found = [plan.inner[np.abs(plan.inner_ops @ v.T.ravel()) >= min_trace]]
+            leaves = (plan.leaf_ops @ v).reshape(len(plan.leaves), dim * dim)
+        else:  # the root alone: no inner node, and itself the one leaf
+            found, leaves = [plan.inner], v.reshape(1, dim * dim)
         found += [plan.leaves[j] + r for j, r in block.matches(leaves, min_trace)]
         hits = np.sort(np.concatenate(found))
         # a sequence is examined iff it costs less than the best before it, so
@@ -326,13 +338,14 @@ def min_cost_search(
             continue
         if seq:
             v = step_product(steps[seq[-1]], v, term)
-        if len(seq) == walk_depth - clan:
+        if depth and len(seq) == walk_depth - clan:
             score_clan(cost, seq, v)
             continue
         examined += 1
         if abs(np.trace(v)) / dim >= threshold:
             best_cost, best_seq = cost, seq
-        stack.extend((cost + costs[i], seq + (i,), v) for i in reversed(range(n)))
+        if len(seq) < max_gates:
+            stack.extend((cost + costs[i], seq + (i,), v) for i in reversed(range(n)))
 
     witness = None if best_seq is None else [placements[i] for i in best_seq]
     return SearchReport(min_cost=None if witness is None else best_cost, witness=witness,
