@@ -14,18 +14,21 @@ level, each node examined by its own trace.  Each node's V is its parent's
 times its last placement's block step (see `kron_apply.BlockStep`), written
 into a new array so that the parent's stays whole for its siblings; a block
 step equals the structured product bit for bit up to the sign of an exact
-zero, which no correctness sees.  A node's
-correctness followed by a sequence s is |vec(O_s^T) . vec(V)| / 2^m, and a
-suffix block holds vec(O_s^T) for every s of 0..L gates in DFS preorder.
+zero, which no correctness sees.  A node's correctness followed by a
+sequence s is |vec(O_s^T) . vec(V)| / 2^m, and a suffix block holds
+vec(O_s^T) for every s of 0..L gates in DFS preorder, built once from the
+identity a level at a time, every placement's block step applied to the
+whole level's stack, and each matrix stored transposed.
 
-The walk's last c levels are scored a clan at a time.  A clan plan keeps
-vec(O_s) of every sequence s of 0..c gates, built once from the identity:
-for a node c levels above the walk's last level (the clan's root) with
-operator V, one product with vec(V^T) gives every inner node's trace
-tr(O_s V), and one (n^c 2^m x 2^m) by (2^m x 2^m) product gives the leaves
-O_s V.  A leaf b and a block row a match iff |a . b| >= 2^m (1 - eps).
-The block keeps f(a) = |a . p| of its rows, sorted, for a fixed real unit
-probe p; f is phase-invariant and 1-Lipschitz, and a match forces
+The walk's last c <= L levels are scored a clan at a time.  A clan plan
+reads the block's rows of every sequence s of 0..c gates: for a node c
+levels above the walk's last level (the clan's root) with operator V, one
+product of the inner sequences' rows with vec(V) gives every inner node's
+trace tr(O_s V), and one (n^c 2^m x 2^m) by (2^m x 2^m) product of the
+leaves' O_s, their rows transposed back, with V gives the leaves O_s V.
+A leaf b and a block row a match iff |a . b| >= 2^m (1 - eps).  The block
+keeps f(a) = |a . p| of its rows, sorted, for a fixed real unit probe p;
+f is phase-invariant and 1-Lipschitz, and a match forces
 min_phi |e^(i phi) conj(a) - b| <= R = sqrt(|a|^2 + |b|^2 - 2^(m+1) (1 - eps)),
 so one searchsorted finds, for every leaf, the rows whose f lies within R
 (with the largest |a|^2, plus a rounding bound) of the leaf's.  A second
@@ -36,13 +39,12 @@ cost.  One pass over the matches in that order keeps the running best and
 counts what lies between two matches that lower it with one array
 comparison, so the result, the witness and the number of circuits examined
 are those of the node-by-node walk.  Block and plan hold no goal and are
-kept on the placement table.  c is the largest number of walk levels whose
-tables (and so a query's leaves) and whose plan, as built, each fit in
-BLOCK_BYTES: 2 on two and three qubits with the default gates, 1 on four
-and five.  A clan of c = 0 levels is its root alone, scored as its one leaf.
-The traces and the exact test sum in another order than
-`evaluate.correctness`, so a node within rounding (about 1e-12) of `1 - eps`
-may be decided differently from `evaluate_circuit`.
+kept on the placement table.  c is the largest number of walk levels, at
+most L, whose plan, as built, fits in BLOCK_BYTES: 2 on two and three
+qubits with the default gates, 1 on four and five.  A clan of c = 0 levels
+is its root alone, scored as its one leaf.  The traces and the exact test
+sum in another order than `evaluate.correctness`, so a node within rounding
+(about 1e-12) of `1 - eps` may be decided differently from `evaluate_circuit`.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ import numpy as np
 
 from .evaluate import FitnessParams, GoalSpec, require_eps
 from .gates import GateSet, PlacementTable
-from .kron_apply import StructuredOperator, block_step, step_product
+from .kron_apply import step_product
 from .kron_apply import apply_structured  # noqa: F401  perfbench/tracing.py wraps it here
 from .linalg import identity
 
@@ -119,14 +121,12 @@ def expand(steps, level: np.ndarray) -> np.ndarray:
     return out
 
 
-def clan_depth(n_gates: int, dim: int, walk_depth: int, depth: int) -> int:
-    """Largest c <= walk_depth such that a clan's operator tables, c levels
-    below its root, and its plan of every sequence of up to c + depth gates,
-    as built, each fit in BLOCK_BYTES."""
-    # the tables hold one matrix more than a block of depth c has rows of 1..c
-    # gates, and a query's leaves fewer; the plan is built as an int64
-    # position and cost per sequence
-    c = block_depth(n_gates, dim, walk_depth)
+def clan_depth(n_gates: int, walk_depth: int, depth: int) -> int:
+    """Largest c <= walk_depth and <= depth, the suffix block's, whose plan of
+    every sequence of up to c + depth gates, as built, fits in BLOCK_BYTES."""
+    # a clan's operator tables are rows of the block, so they fit with it; the
+    # plan is built as an int64 position and cost per sequence
+    c = min(walk_depth, depth)
     while c and node_count(n_gates, c + depth) * 16 > BLOCK_BYTES:
         c -= 1
     return c
@@ -160,17 +160,16 @@ class SuffixBlock:
 
     def __init__(self, table: PlacementTable, depth: int):
         dim = table.cols.shape[1]  # cols holds 2^m rows per placement
-        self.rows = np.empty((node_count(len(table) - 1, depth), dim * dim), dtype=complex)
-        # (O_t O_g)^T = O_g^T O_t^T: prepending a gate is one block step of its
-        # transpose, applied to the whole level's stack, so sequence (g, t) of
-        # a level is matrix g * n^(d-1) + t, first gate most significant
-        steps = [block_step(StructuredOperator(op.m, op.gate.T, op.k), dim)
-                 for op in table.operators[1:]]
+        n, self.depth = len(table) - 1, depth
+        self.rows = np.empty((node_count(n, depth), dim * dim), dtype=complex)
+        stack = self.rows.reshape(-1, dim, dim)
+        # `expand` appends a gate: sequence (g_1, .., g_d) of a level is matrix
+        # g_d n^(d-1) + .. + g_1, at the lexicographic position (g_d, .., g_1)
         level = identity(dim)[None]
         for d, (pos, _) in enumerate(preorder_levels(table.costs[1:], depth)):
             if d:
-                level = expand(steps, level)
-            self.rows[pos] = level.reshape(-1, dim * dim)
+                level = expand(table.steps[1:], level)
+            stack[pos.reshape((n,) * d).T.ravel()] = level.transpose(0, 2, 1)
         # p and q share no structure with the gates' entries, so that the
         # rows' projections spread out: the fractional parts of sqrt(2),
         # sqrt(3), ..., centred, dim^2 for each probe in turn
@@ -220,38 +219,40 @@ class SuffixBlock:
 
 class ClanPlan:
     """Every gate sequence of 0..clan + depth gates below a clan's root in DFS
-    preorder: the clan's levels and a suffix block below each leaf.  `costs[p]`
-    is the p-th sequence's cost.  `inner` holds the positions of the clan's
-    nodes above its last level, level by level, and `leaves` those of its
-    last level, each level in the order `expand` builds it; leaf j then block
-    row r is sequence `leaves[j] + r`.  `inner_ops[i]` is vec(O_s) of the
-    sequence s at `inner[i]`, and `leaf_ops` stacks the leaves' O_s, one
-    2^m-row slice each, so that the leaves below a root V are `leaf_ops @ V`.
-    A plan of no clan levels has neither: its root is its one leaf."""
+    preorder, for a suffix block of `depth >= clan` gates: the clan's levels
+    and the block below each leaf.  `costs[p]` is the p-th sequence's cost.
+    `inner` holds the positions of the clan's nodes above its last level and
+    `leaves` those of its last level, each level's sequences
+    lexicographically; leaf j then block row r is sequence `leaves[j] + r`.
+    `inner_ops[i]` is the block's row vec(O_s^T) of the sequence s at
+    `inner[i]`, and `leaf_ops` stacks the leaves' O_s, the block's rows
+    transposed back, one 2^m-row slice each, so that the leaves below a root
+    V are `leaf_ops @ V`.  A plan of no clan levels has neither table: its
+    root is its one leaf."""
 
-    def __init__(self, table: PlacementTable, depth: int, clan: int):
-        n, total = len(table) - 1, clan + depth
+    def __init__(self, table: PlacementTable, block: SuffixBlock, clan: int):
+        if clan > block.depth:
+            raise ValueError(f"a clan of {clan} levels is deeper than its block of {block.depth}")
+        n, total = len(table) - 1, clan + block.depth
         levels = preorder_levels(table.costs[1:], total)
         self.costs = np.empty(node_count(n, total), dtype=np.int64)
         for pos, cost in levels:
             self.costs[pos] = cost
         # the narrowest type that holds every cost: less memory for each count to scan
         self.costs = self.costs.astype(np.min_scalar_type(self.costs.max()))
-        # `expand` builds a level with the last gate most significant
-        positions = np.concatenate([pos.reshape((n,) * d).T.ravel()
-                                    for d, (pos, _) in enumerate(levels[:clan + 1])])
+        positions = np.concatenate([pos for pos, _ in levels[:clan + 1]])
         self.subtree = [node_count(n, total - d) for d in range(1, total + 1)]
         k = node_count(n, clan - 1)  # the inner nodes
         self.inner, self.leaves = positions[:k], positions[k:]
         if not clan:
             return  # the root is the clan's one leaf
+        # the block's rows of the same sequences, listed in the same order
+        rows = np.concatenate([pos for pos, _ in
+                               preorder_levels(table.costs[1:], block.depth)[:clan + 1]])
         dim = table.cols.shape[1]
-        ops = [identity(dim)[None]]
-        for _ in range(clan):
-            ops.append(expand(table.steps[1:], ops[-1]))
-        ops = np.concatenate(ops)
-        self.inner_ops = ops[:k].reshape(k, dim * dim)
-        self.leaf_ops = ops[k:].reshape(-1, dim)
+        self.inner_ops = block.rows[rows[:k]]
+        leaf_ops = block.rows[rows[k:]].reshape(-1, dim, dim)
+        self.leaf_ops = leaf_ops.transpose(0, 2, 1).reshape(-1, dim)
 
     def decode(self, p: int) -> tuple:
         """The gate indices of the p-th sequence."""
@@ -278,8 +279,7 @@ def min_cost_search(
     require_eps(eps)
     table = gs.table(goal.num_qubits)
     table.require_budget(max_gates)  # the plans and the walk sum costs in int64
-    placements = table.cases[1:]  # index 0 is the wire
-    steps = table.steps[1:]
+    steps = table.steps[1:]  # index 0 is the wire
     n = len(steps)
     if node_count(n, max_gates, stop=budget) > budget:
         raise ValueError(f"over the circuit budget: the search would examine more than "
@@ -289,10 +289,10 @@ def min_cost_search(
     threshold = 1.0 - eps
     depth = block_depth(n, dim, max_gates)
     walk_depth = max_gates - depth
-    clan = clan_depth(n, dim, walk_depth, depth)
+    clan = clan_depth(n, walk_depth, depth)
     if depth:  # else the walk examines every node itself, by its trace
         block = table.kept((SuffixBlock, depth), lambda: SuffixBlock(table, depth))
-        plan = table.kept((ClanPlan, depth, clan), lambda: ClanPlan(table, depth, clan))
+        plan = table.kept((ClanPlan, depth, clan), lambda: ClanPlan(table, block, clan))
     # |tr(O_s V)| is dim times the correctness; dim is a power of two, so
     # comparing it with dim * threshold decides as the correctness does
     min_trace = dim * threshold
@@ -306,9 +306,9 @@ def min_cost_search(
         up to clan + depth gates below it, in the walk's preorder."""
         nonlocal best_cost, best_seq, examined
         # the matches' positions: the inner nodes' by their traces
-        # tr(O_s V) = vec(O_s) . vec(V^T), the rest by the index
+        # tr(O_s V) = vec(O_s^T) . vec(V), the rest by the index
         if clan:
-            found = [plan.inner[np.abs(plan.inner_ops @ v.T.ravel()) >= min_trace]]
+            found = [plan.inner[np.abs(plan.inner_ops @ v.ravel()) >= min_trace]]
             leaves = (plan.leaf_ops @ v).reshape(len(plan.leaves), dim * dim)
         else:  # the root alone: no inner node, and itself the one leaf
             found, leaves = [plan.inner], v.reshape(1, dim * dim)
@@ -347,6 +347,6 @@ def min_cost_search(
         if len(seq) < max_gates:
             stack.extend((cost + costs[i], seq + (i,), v) for i in reversed(range(n)))
 
-    witness = None if best_seq is None else [placements[i] for i in best_seq]
+    witness = None if best_seq is None else [table.cases[1 + i] for i in best_seq]
     return SearchReport(min_cost=None if witness is None else best_cost, witness=witness,
                         circuits_examined=examined)

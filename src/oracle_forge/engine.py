@@ -59,6 +59,10 @@ class HqeaParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("pop_size", "measurements", "max_gen", "restart_after", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.pop_size < 1 or self.measurements < 1 or self.max_gen < 1:
             raise ValueError("pop_size, measurements and max_gen must be at least 1")
         if not 0 <= self.mutation_prob <= 1:
@@ -67,6 +71,8 @@ class HqeaParams:
             raise ValueError(f"delta_theta must be finite and non-negative, got {self.delta_theta}")
         if self.restart_after < 1:
             raise ValueError("restart_after must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -12,10 +12,10 @@ Placement index convention (fixed for reproducibility):
                          (down, up) within each pair
 
 `GateSet.table(m)` builds the placements on m qubits once, with their
-costs, structured operators, block steps and row-sparse form, and keeps
-them for later calls; the codec, the evaluators, the engine and the
-verifier all read that one table, and keep what they build from it (kernel
-buffers, suffix blocks, clan plans) on it with `PlacementTable.kept`.
+costs, block steps and row-sparse form, and keeps them for later calls; the
+codec, the evaluators, the engine and the verifier all read that one table,
+and keep what they build from it (kernel buffers, suffix blocks, clan plans)
+on it with `PlacementTable.kept`.
 """
 from __future__ import annotations
 
@@ -101,13 +101,12 @@ def placement_operator(p: Placement, m: int) -> StructuredOperator:
 class PlacementTable:
     """Every placement on m qubits in index order, with per-index data.
 
-    `cases[i]` carries the name, top qubit and matrix of index i, `costs[i]`
-    its cost and `operators[i]` its structured operator (None for the wire,
-    index 0).  `index` maps (name, top) to the placement index; the wire is
-    keyed by top 0.
+    `cases[i]` carries the name, top qubit and matrix of index i (the wire is
+    index 0), and `costs[i]` its cost.  `index` maps (name, top) to the
+    placement index; the wire is keyed by top 0.
 
-    `steps[i]` is index i's `BlockStep`: how its operator updates a
-    2^m x 2^m matrix block by block (the wire's step does nothing).
+    `steps[i]` is index i's `BlockStep`: how its `placement_operator` updates
+    a 2^m x 2^m matrix block by block (the wire's step does nothing).
 
     The row-sparse form gives row r of the embedded 2^m x 2^m matrix of
     index i as `width[i]` terms: it reads the rows `cols[i, r, :]` in
@@ -126,7 +125,6 @@ class PlacementTable:
 
     cases: tuple
     costs: np.ndarray
-    operators: tuple
     index: dict
     steps: tuple
     cols: np.ndarray
@@ -234,13 +232,12 @@ class GateSet:
                 cases.append(Placement(fam.name, p, 2, fam.cost, fam.matrix))
                 cases.append(Placement(fam.name + "2", p, 2, fam.cost, flipped))
         cols, vals, width = _row_sparse(cases, m)
-        operators = (None,) + tuple(placement_operator(p, m) for p in cases[1:])
         return PlacementTable(
             cases=tuple(cases),
             costs=np.array([p.cost for p in cases], dtype=np.int64),
-            operators=operators,
             index={(p.name, p.top): i for i, p in enumerate(cases)},
-            steps=tuple(block_step(op, 1 << m) for op in operators),
+            steps=tuple(block_step(None if p.is_wire else placement_operator(p, m), 1 << m)
+                        for p in cases),
             cols=cols,
             vals=vals,
             width=width,

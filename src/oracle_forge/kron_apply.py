@@ -233,20 +233,16 @@ def benchmark_triple(m: int, n: int, k: int, rng: np.random.Generator) -> BenchR
 
 def benchmark_sweep(max_total: int = 64, seed: int = 0, triples=None) -> list[BenchRow]:
     """Benchmark all power-of-two triples with m*n*k <= max_total (or the given triples)."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if triples is None:
         if max_total < 2:
             # the smallest triple, (1, 2, 1), has m*n*k = 2
             raise ValueError(f"max_total must be at least 2, got {max_total}")
-        triples = []
-        p = 1
-        pows = []
-        while p <= max_total:
-            pows.append(p)
-            p *= 2
-        for m in pows:
-            for n in pows[1:]:  # a 1x1 "gate" is degenerate
-                for k in pows:
-                    if m * n * k <= max_total:
-                        triples.append((m, n, k))
+        if max_total >= 2 * DEFAULT_MAX_DIM:  # its largest triples would not embed
+            raise ValueError(f"max_total must be below {2 * DEFAULT_MAX_DIM}, got {max_total}")
+        pows = [1 << e for e in range(max_total.bit_length())]
+        # a 1x1 "gate" is degenerate
+        triples = [(m, n, k) for m in pows for n in pows[1:] for k in pows if m * n * k <= max_total]
     rng = np.random.default_rng(seed)
     return [benchmark_triple(m, n, k, rng) for (m, n, k) in triples]

@@ -35,7 +35,7 @@ from oracle_forge.evaluate import (
     is_success,
 )
 from oracle_forge.gates import (CNOT_MATRIX, Gate, GateSet, PlacementTable, default_gate_set,
-                               extend_gate_set)
+                               extend_gate_set, placement_operator)
 from oracle_forge.kron_apply import (
     StructuredOperator,
     apply_block_step,
@@ -129,7 +129,8 @@ def per_placement_batch(indices, table, goal, params):
     for column in indices.T:
         for idx in np.unique(column[column != 0]):
             for r in np.flatnonzero(column == idx):
-                lams[r] = apply_structured(table.operators[idx], lams[r])
+                lams[r] = apply_structured(placement_operator(table.cases[idx], goal.num_qubits),
+                                           lams[r])
     costs = table.costs[indices].sum(axis=1).tolist()
     scores = []
     for lam, cost in zip(lams, costs):
@@ -248,7 +249,7 @@ def test_each_block_step_matches_the_structured_kernel(gate_sets, m):
         for i, (case, step) in enumerate(zip(table.cases, table.steps)):
             assert step.kind == BLOCK_KINDS[case.name]
             x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            ref = x if i == 0 else apply_structured(table.operators[i], x)
+            ref = x if i == 0 else apply_structured(placement_operator(case, m), x)
             lam, spare, term = np.empty((3, dim, dim), dtype=complex)
             lam[:] = x
             got, free = apply_block_step(step, lam, spare, term)
@@ -425,7 +426,7 @@ def test_row_sparse_table_rebuilds_each_placement(gate_sets, m):
             cols, vals = table.cols[i], table.vals[i]
             dense = np.zeros((dim, dim), dtype=complex)
             np.add.at(dense, (np.arange(dim)[:, None], cols), vals)
-            ref = identity(dim) if i == 0 else embed_dense(table.operators[i])
+            ref = identity(dim) if i == 0 else embed_dense(placement_operator(table.cases[i], m))
             assert np.array_equal(dense, ref)
             terms = vals != 0
             # nonzeros first, in increasing column order, then weight 0 on row 0

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracle_forge import brute
 from oracle_forge.brute import (BLOCK_BYTES, ClanPlan, SuffixBlock, block_depth, clan_depth,
-                                expand, min_cost_search, node_count)
+                                min_cost_search, node_count)
 from oracle_forge.cli import main as cli_main
 from oracle_forge.evaluate import GoalSpec, circuit_unitary, correctness
-from oracle_forge.gates import GateSet, PlacementTable, default_gate_set, extend_gate_set
-from oracle_forge.kron_apply import (StructuredOperator, apply_block_step, apply_structured,
-                                     step_product)
+from oracle_forge.gates import (GateSet, PlacementTable, default_gate_set, extend_gate_set,
+                               placement_operator)
+from oracle_forge.kron_apply import apply_block_step, apply_structured, step_product
 from oracle_forge.linalg import identity
 from oracle_forge.targets import builtin
 
@@ -190,27 +190,27 @@ def test_block_depth_fits_the_block_memory():
 
 def test_clan_depth_fits_the_block_memory():
     # default gate set: two walk levels on two and three qubits, one on four
-    assert clan_depth(8, 4, 100, 3) == 2
-    assert clan_depth(13, 8, 100, 2) == 2
-    assert clan_depth(18, 16, 100, 1) == 1
-    assert clan_depth(8, 4, 1, 3) == 1  # capped at the walk depth
-    assert clan_depth(8, 4, 0, 3) == 0
-    assert clan_depth(0, 2, 5, 0) == 0
+    assert clan_depth(8, 100, 3) == 2
+    assert clan_depth(13, 100, 2) == 2
+    assert clan_depth(18, 100, 1) == 1
+    assert clan_depth(8, 1, 3) == 1  # capped at the walk depth
+    assert clan_depth(8, 0, 3) == 0
+    assert clan_depth(8, 100, 0) == 0  # and at the block depth
+    assert clan_depth(0, 5, 0) == 0
     for n, dim in ((3, 2), (8, 4), (13, 8), (18, 16), (20, 8)):
         depth = block_depth(n, dim, 100)
-        c = clan_depth(n, dim, 100, depth)
-        # the clan's tables and its plan as built (an int64 position and cost
-        # per sequence) fit; one more level does not
-        assert (node_count(n, c) - 1) * 16 * dim * dim <= BLOCK_BYTES
+        c = clan_depth(n, 100, depth)
+        # the clan's tables are rows of the block, and its plan as built (an
+        # int64 position and cost per sequence) fits; one more level does not
+        assert c <= depth
         assert node_count(n, c + depth) * 16 <= BLOCK_BYTES
-        assert ((node_count(n, c + 1) - 1) * 16 * dim * dim > BLOCK_BYTES
-                or node_count(n, c + 1 + depth) * 16 > BLOCK_BYTES)
+        assert c == depth or node_count(n, c + 1 + depth) * 16 > BLOCK_BYTES
 
 
 def reference_search(goal, max_gates, gs, eps=1e-6, prune=True):
     """The verifier as a plain recursive DFS: one structured product per node."""
     table = gs.table(goal.num_qubits)
-    ops = list(zip(table.cases[1:], table.operators[1:]))
+    ops = [(p, placement_operator(p, goal.num_qubits)) for p in table.cases[1:]]
     goal_conj = goal.matrix.conj()
     dim = goal.dim
     threshold = 1.0 - eps
@@ -288,11 +288,10 @@ def test_blocked_search_matches_recursive_dfs(gate_sets, data, extended, m, dept
 
 
 def small_gate_set(base, name):
-    """One of the default gates alone: few placements, so that a clan can
-    span three walk levels."""
-    if name == "CNOT":
-        return GateSet(one_qubit=(), two_qubit=base.two_qubit)
-    return GateSet(one_qubit=tuple(g for g in base.one_qubit if g.name == name), two_qubit=())
+    """One gate of `base` alone: few placements, so that a clan can span
+    three walk levels."""
+    return GateSet(one_qubit=tuple(g for g in base.one_qubit if g.name == name),
+                   two_qubit=tuple(g for g in base.two_qubit if g.name == name))
 
 
 # (gate set, m, BLOCK_BYTES, max_gates, (L, c)): a smaller block memory makes
@@ -311,18 +310,22 @@ def small_gate_set(base, name):
     ("default", 1, 1936, 4, (2, 2)),  # one clan, rooted at the root
     ("default", 1, 1936, 5, (2, 2)),  # clans rooted one level down
     ("default", 2, 74896, 4, (2, 2)),
+    # the dense user gates: their matrices, unlike the default gates', are
+    # not symmetric, so only they tell tr(O_s V) from tr(O_s^T V)
+    ("U", 2, 4096, 6, (3, 3)),
+    ("V", 2, 4096, 6, (3, 3)),
 ])
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(data=st.data(), reachable=st.booleans(), eps=st.sampled_from([1e-6, 0.05, 0.4]))
 def test_clan_search_matches_recursive_dfs(gate_sets, name, m, block_bytes, max_gates, expected,
                                            data, reachable, eps):
-    gs = gate_sets[0] if name == "default" else small_gate_set(gate_sets[0], name)
+    gs = gate_sets[0] if name == "default" else small_gate_set(gate_sets[1], name)
     table = gs.table(m)
     n_gates = len(table) - 1
     goal = draw_goal(data, table, m, reachable)
     with mock.patch.object(brute, "BLOCK_BYTES", block_bytes):
         block = block_depth(n_gates, 1 << m, max_gates)
-        clan = clan_depth(n_gates, 1 << m, max_gates - block, block)
+        clan = clan_depth(n_gates, max_gates - block, block)
         assert (block, clan) == expected
         assert_matches_reference(goal, max_gates, gs, eps)
 
@@ -339,11 +342,12 @@ def test_walk_child_product_matches_the_structured_kernel(gate_sets, m):
         table = gs.table(m)
         parent = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         before = parent.copy()
-        for op, step in zip(table.operators[1:], table.steps[1:]):
+        for p, step in zip(table.cases[1:], table.steps[1:]):
             child = step_product(step, parent, term)
             assert not np.shares_memory(child, parent)
             # float views compare real and imaginary parts (zeros up to sign)
-            assert np.array_equal(child.view(float), apply_structured(op, parent).view(float))
+            ref = apply_structured(placement_operator(p, m), parent)
+            assert np.array_equal(child.view(float), ref.view(float))
         assert parent.tobytes() == before.tobytes()
 
 
@@ -369,18 +373,18 @@ def test_block_step_on_a_stack_equals_the_step_on_each_matrix(gate_sets, m):
 
 def structured_block_rows(operators, depth):
     """The suffix block's rows as built with the structured kernel from the
-    identity: each level is every transposed operator applied to the level
-    below, in preorder."""
+    identity: each level is every operator applied to each matrix of the
+    level below, the sequences in preorder, and each row the transpose."""
     n, dim = len(operators), operators[0].dim
     subtree = [sum(n ** j for j in range(r + 1)) for r in range(depth + 1)]
     rows = np.empty((subtree[depth], dim * dim), dtype=complex)
-    transposed = [StructuredOperator(op.m, op.gate.T, op.k) for op in operators]
     level, pos = identity(dim)[None], np.array([0])
     rows[0] = level.ravel()
     for d in range(1, depth + 1):
-        level = np.stack([apply_structured(op, x) for op in transposed for x in level])
+        # matrix i * n + g is sequence i of the level below, then gate g
+        level = np.stack([apply_structured(op, x) for x in level for op in operators])
         child = (pos[:, None] + 1 + np.arange(n) * subtree[depth - d]).ravel()
-        rows[child] = level.reshape(-1, dim * dim)
+        rows[child] = level.transpose(0, 2, 1).reshape(-1, dim * dim)
         pos = child
     return rows
 
@@ -389,7 +393,7 @@ def structured_block_rows(operators, depth):
 def test_suffix_block_rows_match_the_structured_build(gate_sets, m):
     for gs in gate_sets:
         table = gs.table(m)
-        operators = table.operators[1:]
+        operators = [placement_operator(p, m) for p in table.cases[1:]]
         depth = min(block_depth(len(operators), 1 << m, 100), 3)
         block = SuffixBlock(table, depth)
         # complex == ignores the sign of an exact zero, which no correctness sees
@@ -421,34 +425,41 @@ def test_suffix_block_row_zero_is_the_empty_sequence(gate_sets, m):
 
 
 @pytest.mark.parametrize("m", range(1, 4))
-@pytest.mark.parametrize("depth, clan", [(0, 0), (3, 0), (0, 2), (1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("depth, clan", [(0, 0), (3, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)])
 def test_clan_plan_numbers_every_sequence_in_preorder(gate_sets, m, depth, clan):
     dim = 1 << m
     for gs in gate_sets:
         table = gs.table(m)
         n = len(table) - 1
-        plan = ClanPlan(table, depth, clan)
+        block = SuffixBlock(table, depth)
+        if clan > depth:  # a clan's tables are rows of its block; `clan_depth` caps it there
+            with pytest.raises(ValueError, match=f"^a clan of {clan} levels is deeper than its "
+                                                 f"block of {depth}$"):
+                ClanPlan(table, block, clan)
+            continue
+        plan = ClanPlan(table, block, clan)
         sequences = list(preorder(n, clan + depth))
         assert plan.costs.tolist() == [sum(table.costs[1 + g] for g in seq) for seq in sequences]
         assert [plan.decode(p) for p in range(len(sequences))] == sequences
-        # the kept tables are the clan's levels as `expand` builds them from
-        # the identity, the inner ones level by level: each position's
-        # sequence is the one whose unitary the tables hold there
-        levels = [identity(dim)[None]]
-        for _ in range(clan):
-            levels.append(expand(table.steps[1:], levels[-1]))
-        if clan:  # a plan of no clan levels keeps no table: its root is its leaf
-            assert plan.leaf_ops.tobytes() == levels[-1].tobytes()
-            assert plan.inner_ops.tobytes() == b"".join(level.tobytes()
-                                                        for level in levels[:-1])
-            assert len(plan.inner_ops) == node_count(n, clan - 1)
         assert len(plan.inner) == node_count(n, clan - 1)
         positions = np.concatenate([plan.inner, plan.leaves])
-        for p, v in zip(positions, np.concatenate(levels)):
-            circuit = [table.cases[1 + g] for g in sequences[p]]
-            assert np.allclose(v, circuit_unitary(circuit, m), rtol=0, atol=1e-12)
         assert [len(sequences[p]) for p in positions] == [d for d in range(clan + 1)
                                                           for _ in range(n ** d)]
+        if not clan:  # a plan of no clan levels keeps no table: its root is its leaf
+            continue
+        # the kept tables are the block's rows of the clan's sequences, the
+        # leaves' transposed back: each position's sequence is the one whose
+        # unitary the tables hold there
+        row = {seq: r for r, seq in enumerate(preorder(n, depth))}
+        inner = block.rows[[row[sequences[p]] for p in plan.inner]]
+        leaves = block.rows[[row[sequences[p]] for p in plan.leaves]].reshape(-1, dim, dim)
+        assert plan.inner_ops.tobytes() == inner.tobytes()
+        assert plan.leaf_ops.tobytes() == leaves.transpose(0, 2, 1).tobytes()
+        unitaries = np.concatenate([inner.reshape(-1, dim, dim).transpose(0, 2, 1),
+                                    plan.leaf_ops.reshape(-1, dim, dim)])
+        for p, v in zip(positions, unitaries):
+            circuit = [table.cases[1 + g] for g in sequences[p]]
+            assert np.allclose(v, circuit_unitary(circuit, m), rtol=0, atol=1e-12)
         # leaf j followed by block row r is sequence leaves[j] + r
         suffixes = list(preorder(n, depth))
         for leaf in plan.leaves:
@@ -499,7 +510,8 @@ def test_index_finds_the_dense_products_matches_near_the_threshold(gate_sets, m,
         table = gs.table(m)
         n = len(table) - 1
         depth = min(block_depth(n, dim, 100), 2)
-        block, plan = SuffixBlock(table, depth), ClanPlan(table, depth, 1)
+        block = SuffixBlock(table, depth)
+        plan = ClanPlan(table, block, 1)
         goals = 0
         for _ in range(100):
             if goals == 3:
@@ -546,7 +558,8 @@ def test_index_scores_every_pair_in_chunks(gate_sets, monkeypatch):
     # at eps near 1 every pair lies within the radius; a small block memory
     # makes the pairs come in many chunks
     table = gate_sets[1].table(2)
-    block, plan = SuffixBlock(table, 2), ClanPlan(table, 2, 1)
+    block = SuffixBlock(table, 2)
+    plan = ClanPlan(table, block, 1)
     rng = np.random.default_rng(5)
     leaves = (plan.leaf_ops @ random_unitary(rng, 4)).reshape(len(plan.leaves), 16)
     monkeypatch.setattr(brute, "BLOCK_BYTES", 16 * 16 * 7)
@@ -664,8 +677,48 @@ def test_clan_hit_at_depth_two_prunes_later_parents_and_their_children(gs):
 @pytest.mark.parametrize("name", ["entangle2", "swap", "controlled_s"])
 def test_clan_pass_matches_the_recursive_dfs(gs, walk, name):
     assert block_depth(8, 4, 100) == WALK_BLOCK
-    assert clan_depth(8, 4, walk, WALK_BLOCK) == walk
+    assert clan_depth(8, walk, WALK_BLOCK) == walk
     report = assert_matches_reference(builtin(name), WALK_BLOCK + walk, gs)
     if name == "entangle2" and walk == 2:
         # H then CNOT: the optimum is a node on the clan's last level
         assert len(report.witness) == walk
+
+
+def ghz_goal(gs, m):
+    """GHZ preparation on m qubits: H on qubit 0, then CNOT down the chain."""
+    circuit = [gs.placement("H", 0, m)] + [gs.placement("CNOT", q, m) for q in range(m - 1)]
+    return GoalSpec(m, circuit_unitary(circuit, m), name=f"ghz{m}")
+
+
+def walk_shape(gs, m, max_gates):
+    """(L, c): the block depth and clan depth of a query at the shipped BLOCK_BYTES."""
+    n = len(gs.table(m)) - 1
+    depth = block_depth(n, 1 << m, max_gates)
+    return depth, clan_depth(n, max_gates - depth, depth)
+
+
+# the regimes past the built-in goals' clans of two levels: clans of one
+# level on four and five qubits, and no block on six, where the walk
+# examines every node itself
+@pytest.mark.parametrize("m, max_gates, shape, min_cost, examined, witness", [
+    (4, 4, (1, 1), 7, 101232, [("H", 0), ("CNOT", 0), ("CNOT", 1), ("CNOT", 2)]),
+    (5, 3, (1, 1), None, 12720, None),
+    (6, 2, (0, 0), None, 813, None),
+])
+def test_ghz_search_at_the_shipped_block_memory(gs, m, max_gates, shape, min_cost, examined,
+                                                witness):
+    assert walk_shape(gs, m, max_gates) == shape
+    report = min_cost_search(ghz_goal(gs, m), max_gates, gs)
+    assert report.min_cost == min_cost
+    assert report.circuits_examined == examined
+    assert (None if report.witness is None
+            else [(p.name, p.top) for p in report.witness]) == witness
+
+
+@pytest.mark.parametrize("m, max_gates", [(4, 3), (5, 2), (6, 2)])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data(), reachable=st.booleans())
+def test_wide_search_matches_recursive_dfs(gate_sets, m, max_gates, data, reachable):
+    gs = gate_sets[0]
+    assert walk_shape(gs, m, max_gates) == ((1, 1) if m < 6 else (0, 0))
+    assert_matches_reference(draw_goal(data, gs.table(m), m, reachable), max_gates, gs)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle_forge import kron_apply
 from oracle_forge.cli import build_parser, main
 from oracle_forge.engine import evolve
 from oracle_forge.evaluate import GoalSpec
@@ -180,6 +181,32 @@ def test_bench_matmul_with_no_triple_exits_1(capsys, max_total):
     code, out, err = run(capsys, "bench-matmul", "--max-total", max_total)
     assert code == 1 and out == ""
     assert err.strip().splitlines() == [f"error: max_total must be at least 2, got {max_total}"]
+
+
+def test_bench_matmul_past_the_largest_dimension_exits_1_before_any_triple(capsys,
+                                                                             monkeypatch):
+    def run_triple(*args):
+        raise AssertionError(f"triple {args[:3]} was run")
+
+    monkeypatch.setattr(kron_apply, "benchmark_triple", run_triple)
+    code, out, err = run(capsys, "bench-matmul", "--max-total", "2048")
+    assert code == 1 and out == ""
+    assert err.strip().splitlines() == ["error: max_total must be below 2048, got 2048"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--goal", "entangle2"],
+    ["experiment", "--goal", "entangle2", "--runs", "1"],
+    ["bench-matmul", "--max-total", "4"],
+    ["bench-matmul", "--triple", "1", "2", "1"],
+])
+def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, monkeypatch, argv):
+    # numpy's own error named no flag; synth would write into its --out-dir, "."
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert err.strip().splitlines() == ["error: seed must be non-negative, got -1"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_brute_subcommand(capsys):

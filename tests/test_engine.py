@@ -39,6 +39,24 @@ def test_params_validation():
         small_params(mutation_prob=1.5)
 
 
+@pytest.mark.parametrize("name", ["pop_size", "measurements", "max_gen", "restart_after", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", True])
+def test_count_fields_must_be_ints(name, value):
+    # a float pop_size failed inside numpy, and a float restart_after ran
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+        small_params(**{name: value})
+
+
+def test_count_fields_take_numpy_ints():
+    params = small_params(pop_size=np.int64(4), seed=np.int32(7))
+    assert (params.pop_size, params.seed) == (4, 7)
+
+
+def test_seed_must_be_non_negative():
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        small_params(seed=-1)
+
+
 @pytest.mark.parametrize("delta_theta", [float("nan"), float("inf"), -0.01])
 def test_delta_theta_must_be_finite_and_non_negative(delta_theta):
     # NaN turns every rotated theta into NaN; a negative step rotates away from the guide

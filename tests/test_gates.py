@@ -14,6 +14,7 @@ from oracle_forge.gates import (
     case_count,
     default_gate_set,
     extend_gate_set,
+    placement_operator,
 )
 from oracle_forge.linalg import identity, is_unitary, kron
 
@@ -157,9 +158,10 @@ def test_placement_table_is_built_once_per_qubit_count(gs):
     assert gs.cases(3) is gs.table(3).cases
     assert gs.table(2) is not gs.table(3)
     table = gs.table(3)
-    assert table.operators[0] is None and table.costs[0] == 0
+    assert table.cases[0].is_wire and table.costs[0] == 0
     assert list(table.costs) == [p.cost for p in table.cases]
-    for p, op in zip(table.cases[1:], table.operators[1:]):
+    for p in table.cases[1:]:
+        op = placement_operator(p, 3)
         assert op.m == 1 << p.top and op.k == 1 << (3 - p.top - p.span)
         assert np.array_equal(op.gate, p.matrix)
 
