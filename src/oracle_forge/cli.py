@@ -26,7 +26,7 @@ from .brute import min_cost_search
 from .codec import load_circuit, render_ascii, save_circuit
 from .engine import HqeaParams, evolve, run_batch
 from .evaluate import FitnessParams, evaluate_circuit, is_success
-from .gates import default_gate_set, extend_gate_set, whole_number
+from .gates import default_gate_set, extend_gate_set, json_object, whole_number
 from .kron_apply import BENCH_CSV_HEADER, benchmark_sweep
 
 
@@ -132,9 +132,7 @@ def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
     Other keys are ignored.
     """
     with open(path) as f:
-        cfg = json.load(f)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must contain a JSON object")
+        cfg = json_object(json.load(f), "a config file")
     flags = {a.dest: a.type for a in command._actions if a.option_strings and a.nargs is None}
     return {key: _config_value(key, val, flags[key]) for key, val in cfg.items()
             if key in flags and val is not None}

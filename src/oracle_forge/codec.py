@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .gates import (MAX_QUBITS, GateSet, Placement, json_fields, json_list, json_object,
+from .gates import (GateSet, Placement, json_fields, json_list, json_object, require_qubits,
                     whole_number)
 
 
@@ -108,8 +108,7 @@ def circuit_from_json(data: dict, gs: GateSet) -> tuple[list[Placement], int]:
     qubits, gates = json_fields(json_object(data, "a circuit file"), "a circuit file",
                                 "qubits", "gates")
     m = whole_number(qubits, "circuit qubits")
-    if not 1 <= m <= MAX_QUBITS:
-        raise ValueError(f"circuit qubits must be from 1 to {MAX_QUBITS}, got {m}")
+    require_qubits(m, "circuit qubits")
     circuit = []
     for i, e in enumerate(json_list(gates, "circuit gates")):
         what = f"circuit gate {i}"

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gates import PlacementTable, placement_operator, require_cost
+from .gates import PlacementTable, placement_operator, require_cost, require_qubits
 from .kron_apply import apply_block_step, apply_structured
 from .linalg import identity, require_unitary
 
@@ -57,8 +57,8 @@ class GoalSpec:
 
     def __post_init__(self):
         m, shape = self.num_qubits, self.matrix.shape
-        # the exponent is compared before m is a shift: m may be read from a file
-        if m < 1 or m != len(self.matrix).bit_length() - 1 or shape != (1 << m, 1 << m):
+        require_qubits(m, "goal qubits")  # before the unitarity check of an oversized matrix
+        if shape != (1 << m, 1 << m):
             raise ValueError(f"goal matrix of shape {shape} is not 2^qubits x 2^qubits "
                              f"(qubits={m})")
         require_unitary(self.matrix, "goal matrix")

@@ -28,7 +28,7 @@ import numpy as np
 from .kron_apply import StructuredOperator, block_step
 from .linalg import DEFAULT_MAX_DIM, as_matrix, require_unitary
 
-MAX_QUBITS = DEFAULT_MAX_DIM.bit_length() - 1  # the most qubits a placement table is built for
+MAX_QUBITS = DEFAULT_MAX_DIM.bit_length() - 1  # the most qubits of any goal, circuit or table
 
 WIRE = "wire"
 
@@ -89,6 +89,12 @@ def require_cost(cost: int, what: str) -> None:
         raise ValueError(f"{what} must be non-negative, got {cost}")
     if cost >= 1 << 63:
         raise ValueError(f"{what} must be below 2^63, got {cost}")
+
+
+def require_qubits(m: int, what: str) -> None:
+    """Reject a qubit count outside 1..MAX_QUBITS, before m (maybe from a file) is a shift."""
+    if not 1 <= m <= MAX_QUBITS:
+        raise ValueError(f"{what} must be from 1 to {MAX_QUBITS}, got {m}")
 
 
 def placement_operator(p: Placement, m: int) -> StructuredOperator:
@@ -218,10 +224,7 @@ class GateSet:
         return table
 
     def _build_table(self, m: int) -> PlacementTable:
-        if m < 1:
-            raise ValueError("qubit count must be at least 1")
-        if m > MAX_QUBITS:  # an exponent: m may be read from a file
-            raise ValueError(f"at most {MAX_QUBITS} qubits are supported, got {m}")
+        require_qubits(m, "qubit count")
         cases = [Placement(WIRE, 0, m, 0, None)]
         for g in self.one_qubit:
             for q in range(m):
@@ -259,8 +262,7 @@ class GateSet:
 def case_count(m: int, gs: GateSet) -> int:
     """N = n1*m + 2*n2*(m-1) + 1 placements on m qubits, wire included, for
     n1 one-qubit gates and n2 two-qubit families."""
-    if m < 1:
-        raise ValueError("qubit count must be at least 1")
+    require_qubits(m, "qubit count")
     return len(gs.one_qubit) * m + 2 * len(gs.two_qubit) * (m - 1) + 1
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_MAX_DIM, MulCounter, kron, identity, mat_mul_naive
+from .linalg import DEFAULT_MAX_DIM, MulCounter, kron, identity, mat_mul_naive, require_dim
 
 
 def _is_pow2(x) -> bool:
@@ -173,14 +173,9 @@ def step_product(step: BlockStep, x: np.ndarray, term: np.ndarray,
     return apply_block_step(step, x, out, term)[0]
 
 
-def _require_embeddable(dim: int) -> None:
-    if dim > DEFAULT_MAX_DIM:
-        raise ValueError(f"embedded dimension {dim} exceeds maximum {DEFAULT_MAX_DIM}")
-
-
 def embed_dense(op: StructuredOperator) -> np.ndarray:
     """Dense realization I_m (x) gate (x) I_k."""
-    _require_embeddable(op.dim)
+    require_dim(op.dim, "embedded dimension")
     return kron(identity(op.m), kron(op.gate, identity(op.k)))
 
 
@@ -215,7 +210,7 @@ def benchmark_triple(m: int, n: int, k: int, rng: np.random.Generator) -> BenchR
     """Instrumented structured-vs-naive run for one (m, n, k) triple."""
     predicted = speedup_predicted(m, n, k)  # rejects a dimension that is not a power of two
     dim = m * n * k
-    _require_embeddable(dim)  # before the dim x dim draw
+    require_dim(dim, "embedded dimension")  # before the dim x dim draw
     gate = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     op = StructuredOperator(m, gate, k)

@@ -55,11 +55,15 @@ def mat_mul_naive(a: np.ndarray, b: np.ndarray, counter: MulCounter | None = Non
     return out
 
 
+def require_dim(dim: int, what: str) -> None:
+    """Reject a matrix dimension past DEFAULT_MAX_DIM; `what` names it."""
+    if dim > DEFAULT_MAX_DIM:
+        raise ValueError(f"{what} {dim} exceeds maximum {DEFAULT_MAX_DIM}")
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a guard on the result dimension."""
-    dim = a.shape[0] * b.shape[0]
-    if dim > DEFAULT_MAX_DIM:
-        raise ValueError(f"kron result dimension {dim} exceeds maximum {DEFAULT_MAX_DIM}")
+    require_dim(a.shape[0] * b.shape[0], "kron result dimension")
     return np.kron(a, b)
 
 

@@ -435,6 +435,8 @@ def test_config_keys_that_name_no_flag_are_ignored(tmp_path, capsys):
      "a goal file must be a JSON object, got a list"),
     (["verify", "--goal", "entangle2", "--circuit"], "circuit.json", {"qubits": 2, "gates": 5},
      "circuit gates must be a JSON list, got 5"),
+    (["synth", "--goal", "swap", "--config"], "cfg.json", [{"g": 3}],
+     "a config file must be a JSON object, got a list"),
 ])
 def test_file_of_the_wrong_json_shape_exits_1(tmp_path, capsys, argv, name, content, message):
     path = tmp_path / name
@@ -579,9 +581,8 @@ def test_satcost_past_int64_exits_1(tmp_path, capsys, monkeypatch, flags):
      f"goal optimal_cost must be below 2^63, got {10 ** 30}"),
     # 1 << qubits raised MemoryError, and a negative count "negative shift count"
     ("qubits", 10 ** 18, ["brute", "--max-gates", "1"],
-     f"goal matrix of shape (4, 4) is not 2^qubits x 2^qubits (qubits={10 ** 18})"),
-    ("qubits", -1, ["brute", "--max-gates", "1"],
-     "goal matrix of shape (4, 4) is not 2^qubits x 2^qubits (qubits=-1)"),
+     f"goal qubits must be from 1 to 10, got {10 ** 18}"),
+    ("qubits", -1, ["brute", "--max-gates", "1"], "goal qubits must be from 1 to 10, got -1"),
 ], ids=["optimal_cost", "huge-qubits", "negative-qubits"])
 def test_goal_file_number_out_of_range_exits_1(tmp_path, capsys, monkeypatch, field, value, argv,
                                               message):

@@ -75,6 +75,16 @@ def test_all_zero_decodes_to_wires(gs):
     assert all(p.is_wire for p in circuit)
 
 
+def test_decode_indices_agrees_with_decode_codon_on_every_codon():
+    # criterion 3's preimage balance is shown on decode_codon; evolve runs decode_indices
+    for n_cases in range(2, 65):
+        k = codon_bits(n_cases)
+        values = np.arange(1 << k)
+        bits = (values[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        assert decode_indices(bits, n_cases)[:, 0].tolist() == \
+            [decode_codon(s, n_cases, k) for s in values.tolist()]
+
+
 def test_decode_single_codon(gs):
     circuit = decode(np.array([1, 1, 1, 1], dtype=np.uint8), 2, gs)
     assert [(p.name, p.top) for p in circuit] == [("CNOT2", 0)]

@@ -89,6 +89,33 @@ def test_observe_statistics_match_beta_squared():
         assert abs(ones - n * p) <= 3 * sigma
 
 
+def test_evolve_draws_its_first_generation_by_observe(monkeypatch, gs):
+    # criterion 10 measures observe, but evolve draws with its own copy of the
+    # rule; with no mutation its first generation is observe's on the uniform
+    # population (the mutation draw comes after it)
+    from oracle_forge import engine
+    from oracle_forge.codec import codon_bits, decode_indices
+
+    pop, measurements, g, seed = 6, 5, 4, 7
+    scored = []
+    evaluate_batch = engine.evaluate_batch
+
+    def spy(rows, *args):
+        scored.append(rows.copy())
+        return evaluate_batch(rows, *args)
+
+    monkeypatch.setattr(engine, "evaluate_batch", spy)
+    evolve(builtin("entangle2"), gs, g, small_params(pop_size=pop, measurements=measurements,
+                                                     max_gen=1, mutation_prob=0.0, seed=seed))
+    n = len(gs.table(2))
+    bits = observe(np.full((pop, measurements, g * codon_bits(n)), math.pi / 4),
+                   np.random.default_rng(seed))
+    drawn = {tuple(row) for row in decode_indices(bits.reshape(pop * measurements, -1), n).tolist()}
+    [first] = scored
+    assert len(first) == len(drawn) > 1
+    assert {tuple(row) for row in first.tolist()} == drawn
+
+
 def test_rotation_preserves_normalization():
     rng = np.random.default_rng(2)
     theta = np.full(32, math.pi / 4)

@@ -43,6 +43,19 @@ def test_goal_validation():
         GoalSpec(3, identity(4))
 
 
+@pytest.mark.parametrize("m", [0, 11])
+def test_goal_qubit_count_is_checked_before_the_matrix(monkeypatch, m):
+    # an 11-qubit goal spent seconds in its unitarity check before a table refused it
+    from oracle_forge import evaluate
+
+    def spy(*args):
+        raise AssertionError("require_unitary called for an out-of-range qubit count")
+
+    monkeypatch.setattr(evaluate, "require_unitary", spy)
+    with pytest.raises(ValueError, match=f"^goal qubits must be from 1 to 10, got {m}$"):
+        GoalSpec(m, np.eye(1 << m))
+
+
 def test_fitness_params_validation():
     with pytest.raises(ValueError):
         FitnessParams(satcost=-1)

@@ -168,7 +168,7 @@ def test_placement_table_is_built_once_per_qubit_count(gs):
 
 def test_a_table_beyond_the_largest_matrix_is_rejected_before_it_is_built():
     gs = default_gate_set()
-    with pytest.raises(ValueError, match="^at most 10 qubits are supported, got 11$"):
+    with pytest.raises(ValueError, match="^qubit count must be from 1 to 10, got 11$"):
         gs.table(11)
     assert gs._tables == {}
 
