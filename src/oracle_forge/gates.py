@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kron_apply import StructuredOperator, block_step
+from .kron_apply import StructuredOperator, block_step, row_sparse
 from .linalg import DEFAULT_MAX_DIM, as_matrix, require_unitary
 
 MAX_QUBITS = DEFAULT_MAX_DIM.bit_length() - 1  # the most qubits of any goal, circuit or table
@@ -114,11 +114,12 @@ class PlacementTable:
     `steps[i]` is index i's `BlockStep`: how its `placement_operator` updates
     a 2^m x 2^m matrix block by block (the wire's step does nothing).
 
-    The row-sparse form gives row r of the embedded 2^m x 2^m matrix of
-    index i as `width[i]` terms: it reads the rows `cols[i, r, :]` in
-    increasing order with the weights `vals[i, r, :]`.  The terms past a
-    row's nonzeros, up to the table's widest row, have weight 0 on row 0.
-    The wire is the identity: one term of weight 1 per row.
+    The row-sparse form, `kron_apply.row_sparse` of the same operator,
+    gives row r of the embedded 2^m x 2^m matrix of index i as `width[i]`
+    terms: it reads the rows `cols[i, r, :]` in increasing order with the
+    weights `vals[i, r, :]`.  The terms past a row's nonzeros, up to the
+    table's widest row, have weight 0 on row 0.  The wire is the identity:
+    one term of weight 1 per row.
 
     A table whose `cols` read outside the rows of its own matrix raises
     IndexError when it is built: the evaluator's gathers clip instead of
@@ -158,36 +159,6 @@ class PlacementTable:
         if value is None:
             value = self._kept[key] = build()
         return value
-
-
-def _row_sparse(cases, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`cols[N, d, w]`, `vals[N, d, w]` and `width[N]` of the placements on m qubits."""
-    d = 1 << m
-    rows = np.arange(d)
-    gates = cases[1:]
-    mats = np.zeros((len(gates), 4, 4), dtype=complex)  # each gate matrix, zero-padded
-    for mat, p in zip(mats, gates):
-        mat[:len(p.matrix), :len(p.matrix)] = p.matrix
-    nonzero = mats != 0
-    width = np.concatenate(([1], np.count_nonzero(nonzero, axis=2).max(axis=1, initial=0)))
-    w = int(width.max())
-    # each gate row's nonzero columns first, in increasing order
-    order = np.argsort(~nonzero, axis=2, kind="stable")[..., :w]
-    keep = np.take_along_axis(nonzero, order, axis=2)
-    entry = np.where(keep, np.take_along_axis(mats, order, axis=2), 0)
-    below = np.array([m - p.top - p.span for p in gates], dtype=np.intp)[:, None]
-    size = np.array([len(p.matrix) for p in gates], dtype=np.intp)[:, None]
-    gate_row = (rows >> below) & (size - 1)  # the gate row that row r of I (x) A (x) I uses
-    base = rows - (gate_row << below)  # row r with the gate's bits cleared
-    pick = np.arange(len(gates))[:, None]
-    cols = np.zeros((len(cases), d, w), dtype=np.intp)
-    vals = np.zeros((len(cases), d, w), dtype=complex)
-    cols[0, :, 0] = rows
-    vals[0, :, 0] = 1
-    cols[1:] = np.where(keep[pick, gate_row],
-                        base[..., None] + (order[pick, gate_row] << below[..., None]), 0)
-    vals[1:] = entry[pick, gate_row]
-    return cols, vals, width
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,13 +205,18 @@ class GateSet:
             for p in range(m - 1):
                 cases.append(Placement(fam.name, p, 2, fam.cost, fam.matrix))
                 cases.append(Placement(fam.name + "2", p, 2, fam.cost, flipped))
-        cols, vals, width = _row_sparse(cases, m)
+        ops = [None if p.is_wire else placement_operator(p, m) for p in cases]
+        rows = [row_sparse(op, 1 << m) for op in ops]
+        width = np.array([c.shape[1] for c, _ in rows])
+        cols = np.zeros((len(cases), 1 << m, width.max()), dtype=np.intp)
+        vals = np.zeros(cols.shape, dtype=complex)
+        for i, (c, v) in enumerate(rows):  # past width[i], weight 0 on row 0
+            cols[i, :, :width[i]], vals[i, :, :width[i]] = c, v
         return PlacementTable(
             cases=tuple(cases),
             costs=np.array([p.cost for p in cases], dtype=np.int64),
             index={(p.name, p.top): i for i, p in enumerate(cases)},
-            steps=tuple(block_step(None if p.is_wire else placement_operator(p, m), 1 << m)
-                        for p in cases),
+            steps=tuple(block_step(op, 1 << m) for op in ops),
             cols=cols,
             vals=vals,
             width=width,

@@ -123,6 +123,26 @@ def block_step(op: StructuredOperator | None, dim: int) -> BlockStep:
     return BlockStep(shape, "dense", tuple(a[:, l, None].copy() for l in range(op.n)))
 
 
+def row_sparse(op: StructuredOperator | None, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """`cols[dim, w]` and `vals[dim, w]` of `op` on dim x dim matrices; None is the wire.
+
+    Row (i, p, r) reads rows (i, l, r) for each nonzero A[p, l], in
+    increasing l, with weight A[p, l], then row 0 with weight 0 up to w,
+    the gate's widest row.  The wire reads its own row with weight 1.
+    """
+    if op is None:
+        return np.arange(dim)[:, None], np.ones((dim, 1), dtype=complex)
+    a, n, k = op.gate, op.n, op.k
+    nonzero = a != 0
+    w = nonzero.sum(axis=1).max()
+    order = np.argsort(~nonzero, axis=1, kind="stable")[:, :w]  # each row's nonzeros first
+    keep = np.take_along_axis(nonzero, order, axis=1)[:, None]
+    i, r = np.arange(op.m)[:, None, None, None], np.arange(k)[:, None]
+    cols = np.where(keep, (i * n + order[:, None]) * k + r, 0)
+    vals = np.where(keep, np.take_along_axis(a, order, axis=1)[:, None], 0)
+    return cols.reshape(dim, w), np.broadcast_to(vals, cols.shape).reshape(dim, w)
+
+
 def apply_block_step(step: BlockStep, x: np.ndarray, spare: np.ndarray, term: np.ndarray):
     """Apply `step` to the dim x dim matrix `x`, or to a C-contiguous stack
     of them; returns (result, free buffer).

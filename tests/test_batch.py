@@ -414,7 +414,7 @@ def test_repeated_batch_allocates_no_chunk_sized_array():
     assert peak < 64 * 1024
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8])
 def test_row_sparse_table_rebuilds_each_placement(gate_sets, m):
     for gs in gate_sets:
         table = gs.table(m)

@@ -123,6 +123,13 @@ def test_builtin_queries_examine_a_fixed_number_of_circuits(gs, name, max_gates,
     # structured one in more than the sign of a zero would move these counts
     report = min_cost_search(builtin(name), max_gates, gs)
     assert (report.min_cost, report.circuits_examined) == (min_cost, examined)
+    if min_cost is not None:
+        # a circuit cheaper than c has at most (c - 1) // c_min gates, so a
+        # search at that budget proves the written optimum for every budget
+        c_min = min(g.cost for g in gs.one_qubit + gs.two_qubit)
+        assert c_min >= 1
+        assert min_cost == builtin(name).optimal_cost
+        assert max_gates >= (min_cost - 1) // c_min
 
 
 def test_negative_gate_budget_rejected(gs):

@@ -9,6 +9,7 @@ from oracle_forge.kron_apply import (
     benchmark_sweep,
     benchmark_triple,
     embed_dense,
+    row_sparse,
     speedup_predicted,
 )
 from oracle_forge.linalg import MulCounter, identity, kron, mat_mul_naive
@@ -125,6 +126,25 @@ def test_zero_gate_entries_are_skipped_and_not_counted():
     assert np.array_equal(got, embed_dense(op) @ b)
     nnz, n = np.count_nonzero(CNOT_MATRIX), 4
     assert ctr.count == nnz * m * m * n * k * k < m * m * n ** 3 * k * k
+
+
+@pytest.mark.parametrize("m, n, k", [(1, 2, 1), (2, 4, 1), (1, 8, 2), (2, 2, 4)])
+def test_row_sparse_rows_rebuild_the_embedding(m, n, k):
+    # gates wider than a placement's, with zeros, so rows differ in width
+    a = random_matrix(np.random.default_rng(n), n) * (np.arange(n * n).reshape(n, n) % 3 != 1)
+    op = StructuredOperator(m, a, k)
+    cols, vals = row_sparse(op, op.dim)
+    w = np.count_nonzero(a, axis=1).max()
+    assert cols.shape == vals.shape == (op.dim, w)
+    dense = np.zeros((op.dim, op.dim), dtype=complex)
+    np.add.at(dense, (np.arange(op.dim)[:, None], cols), vals)
+    assert np.array_equal(dense, embed_dense(op))
+    terms = vals != 0  # nonzeros first, in increasing column order, then weight 0 on row 0
+    assert not (~terms[:, :-1] & terms[:, 1:]).any()
+    assert np.all(np.where(terms[:, 1:], np.diff(cols, axis=1) > 0, True))
+    assert not cols[~terms].any()
+    wire_cols, wire_vals = row_sparse(None, op.dim)
+    assert wire_cols.tolist() == [[r] for r in range(op.dim)] and np.all(wire_vals == 1)
 
 
 def test_benchmark_triple_checks_the_size_before_it_allocates(monkeypatch):
