@@ -16,8 +16,9 @@ row's overlap with the goal from one of two kernels, picked by the matrix
 size alone, and turns the overlaps into correctness and fitness.  Below
 BLOCK_MIN_DIM `row_sparse_overlaps` applies each gate position to a
 cache-sized chunk of rows at once, one gather per term; from BLOCK_MIN_DIM
-up `block_overlaps` builds each row's sparse head and applies the rest of
-the row in place through the placements' `BlockStep`s.
+up `block_overlaps` builds each row's sparse head, through its second wide
+placement, and applies the rest of the row in place through the
+placements' `BlockStep`s.
 """
 from __future__ import annotations
 
@@ -38,12 +39,14 @@ from .linalg import identity, require_unitary
 CHUNK_BYTES = 1 << 18
 # evaluate_batch builds lambdas of this dimension and up with the block
 # kernel and smaller ones with the row-sparse kernel.  Measured crossover, as
-# block-kernel speed over row-sparse speed on 300 random 8-gate rows of the
-# default gates (three row sets, best of seven calls each), with the sparse
-# head: 0.27-0.33x at dim 8, 0.94-0.99x at 16, 2.6-3.1x at 32 and 3.7-4.3x
-# at 64; in evolve on a 4-qubit GHZ goal (dim 16, 40 generations) the block
-# kernel lost 7 of 7 rounds, at 0.87x in the median, so the crossover stays
-BLOCK_MIN_DIM = 32
+# block-kernel speed over row-sparse speed in one process, interleaved, with
+# the head through the second wide placement: on 300 random 8-gate rows of
+# the default gates (three row sets, best of seven calls each) 0.36-0.40x at
+# dim 8, 0.98-1.08x at 16 and 3.1x at 32; in evolve on a 4-qubit GHZ goal
+# (dim 16, 40 generations, three seeds a round) the block kernel won 15 of
+# 15 rounds, at 1.43x in the median (quartiles 1.22-1.65), and on a random
+# 4-qubit goal 9 of 9, at 1.82x
+BLOCK_MIN_DIM = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,36 +290,47 @@ def block_overlaps(indices: np.ndarray, table: PlacementTable,
                    goal_flat: np.ndarray) -> np.ndarray:
     """The overlap of each row's lambda with the goal: a sparse head, then block steps.
 
-    A row's head is its positions before its second placement of width > 1
-    (see `PlacementTable`).  Up to there its lambda is monomial, one nonzero
-    per row, and after the one wide placement at most w per row, so the
+    A row's head is its positions up to and including its second placement
+    of width > 1 (see `PlacementTable`).  Its lambda is monomial, one
+    nonzero per row, up to the first wide placement, has at most w nonzeros
+    per row from there to the second, and at most w * w after it.  So the
     heads of a chunk of rows are carried as the columns and values of those
-    nonzeros (see `BlockScratch`), one flat gather per position for the
-    whole chunk.  Each lambda is then scattered into a stack of CHUNK_BYTES
-    of matrices and the rest of its row applied in place, gate by gate,
+    slots (see `head_lambdas`), one flat gather per position for the whole
+    chunk.  Each lambda is then scattered into a stack of CHUNK_BYTES of
+    matrices and the rest of its row applied in place, gate by gate,
     through the placements' `BlockStep`s, of which a wire's does nothing.
     Each stack's overlaps are one `vecdot` with the flat goal.
 
     The lambda equals the block steps' bit for bit, up to the sign of an
     exact zero.  A block step sums gate entry times block over the gate's
-    columns.  Before the wide placement every row reads one row of a
-    monomial lambda, so each entry has one term, gate entry times value.
-    The wide placement reads w rows of that monomial lambda, whose nonzeros
-    lie in distinct columns, so each entry of its product again has one
-    nonzero term, and every other term the block step adds is a product
-    with an exact zero.  A product with an exact 1, which the block step
+    columns, in increasing column.  Before the first wide placement every
+    row reads one row of a monomial lambda, so each entry has one term,
+    gate entry times value.  The first wide placement reads w rows of that
+    monomial lambda, whose nonzeros lie in distinct columns, so each entry
+    of its product again has one term.  The second reads w rows, each with
+    its nonzeros in distinct columns, so each entry of its product has at
+    most one term from each row it reads, and the scatter adds a row's
+    slots in slot order, which takes those rows in increasing gate column,
+    the block step's order.  Pad slots, zero-weight reads of row 0, add an
+    exact zero, as does every other term the block step adds, a product
+    with an exact zero; and a product with an exact 1, which the block step
     skips, changes at most the sign of a zero.
     """
     scratch = kernel_scratch(BlockScratch, table)
     steps = table.steps
-    in_head = np.cumsum(table.width[indices] > 1, axis=1) <= 1
-    heads = np.where(in_head, indices, 0)  # the wire past each head
-    starts = in_head.sum(axis=1)
+    wide = table.width[indices] > 1
+    count = np.cumsum(wide, axis=1)
+    before = count <= 1
+    heads = np.where(before, indices, 0)  # the wire from each second wide placement on
+    # each row's second wide placement, or the wire (index 0, of width 1);
+    # a sum, so that rows of no positions need no column
+    seconds = np.where(wide & (count == 2), indices, 0).sum(axis=1)
+    starts = before.sum(axis=1) + (seconds > 0)
     overlap = np.empty(len(indices), dtype=complex)
     spare, term = scratch.spare, scratch.term
     for start in range(0, len(indices), scratch.chunk):
         stop = start + scratch.chunk
-        cols, vals = head_lambdas(heads[start:stop], table, scratch)
+        cols, vals = head_lambdas(heads[start:stop], seconds[start:stop], table, scratch)
         tails = [row[a:] for row, a in zip(indices[start:stop].tolist(),
                                            starts[start:stop].tolist())]
         for k in range(0, len(tails), len(scratch.lams)):
@@ -334,15 +348,20 @@ def block_overlaps(indices: np.ndarray, table: PlacementTable,
     return overlap
 
 
-def head_lambdas(heads: np.ndarray, table: PlacementTable, scratch: BlockScratch):
-    """The (rows, dim, w) columns and values of the lambdas of `heads`.
+def head_lambdas(heads: np.ndarray, seconds: np.ndarray, table: PlacementTable,
+                 scratch: BlockScratch):
+    """The (rows, dim, w * w) columns and values of the lambdas of `heads`,
+    each followed by its row's placement in `seconds`.
 
     Row r's lambda has the value `vals[r, i, s]` at column `cols[r, i, s]` of
-    its row i, for each slot s.  Each lambda starts as the identity, the
-    wire's row-sparse form, and each position is one gather of the chunk's
-    slots through `scratch.read` and one product with `scratch.weight`,
-    weight first as in the block step.  A wire moves each slot to itself
-    with weight 1.
+    its row i, for each slot s; slots may share a column, and the lambda's
+    entry is then their sum.  Each lambda starts as the identity, the
+    wire's row-sparse form, in w slots a row, and each position of `heads`
+    is one gather of the chunk's slots through `scratch.read` and one
+    product with `scratch.weight`, weight first as in the block step.  A
+    wire moves each slot to itself with weight 1.  The placement of
+    `seconds` is one more such step, through `scratch.wide_read` and
+    `scratch.wide_weight`, into w * w slots a row.
     """
     n = len(heads)
     cols, new_cols = scratch.cols[:, :n]
@@ -358,31 +377,38 @@ def head_lambdas(heads: np.ndarray, table: PlacementTable, scratch: BlockScratch
         vals.take(reads, out=new_vals, mode="clip")
         np.multiply(weights, new_vals, out=new_vals)
         cols, new_cols, vals, new_vals = new_cols, cols, new_vals, vals
-    return cols, vals
+    reads, weights = scratch.wide_reads[:n], scratch.wide_weights[:n]
+    wide_cols, wide_vals = scratch.wide_cols[:n], scratch.wide_vals[:n]
+    scratch.wide_read.take(seconds, axis=0, out=reads, mode="clip")
+    reads += scratch.wide_first[:n]
+    scratch.wide_weight.take(seconds, axis=0, out=weights, mode="clip")
+    cols.take(reads, out=wide_cols, mode="clip")
+    vals.take(reads, out=wide_vals, mode="clip")
+    np.multiply(weights, wide_vals, out=wide_vals)
+    return wide_cols, wide_vals
 
 
 def scatter_heads(cols: np.ndarray, vals: np.ndarray, scratch: BlockScratch) -> np.ndarray:
     """The dense lambdas of the head slots `cols` and `vals`, in the first
-    matrices of `scratch.lams`."""
+    matrices of `scratch.lams`: each entry the sum of its slots, added in
+    slot order."""
     n = len(cols)
     lams = scratch.lams[:n]
     lams[...] = 0
-    flat, where = lams.reshape(-1), scratch.where[:n]
-    # a zero-weight pad slot may share a column with a real entry of its row,
-    # which comes in a lower slot and so is written after it
-    for s in range(cols.shape[2] - 1, -1, -1):
-        np.add(scratch.base[:n], cols[:, :, s], out=where)
-        flat[where] = vals[:, :, s]
+    where = scratch.where[:n]
+    np.add(scratch.base[:n], cols, out=where)
+    # flat indices and values, which numpy's fast path of `at` takes
+    np.add.at(lams.reshape(-1), where.reshape(-1), vals.reshape(-1))
     return lams
 
 
 class BlockScratch:
     """The block kernel's head tables and buffers for one placement table.
 
-    A head lambda keeps w slots a row, w the table's widest row (see
-    `head_lambdas`).  Placement p's product on it reads, for output slot s
-    of row i, the flat slot `read[p, i, s]` of the input's (dim, w) slots,
-    with the weight `weight[p, i, s]`:
+    A head lambda keeps w slots a row, w the table's widest row, up to its
+    last position (see `head_lambdas`).  Placement p's product on them
+    reads, for output slot s of row i, the flat slot `read[p, i, s]` of the
+    input's (dim, w) slots, with the weight `weight[p, i, s]`:
 
     - a placement of width 1 reads slot s of its one row `cols[p, i, 0]`,
       with its weight `vals[p, i, 0]`, so it moves the slots of a row in
@@ -391,25 +417,36 @@ class BlockScratch:
       weights `vals[p, i, t]`: each row of the monomial lambda it reads
       holds its one nonzero in slot 0.
 
+    The head's last position, its second wide placement or the wire, makes
+    w * w slots a row: output slot t * w + s of row i reads the flat slot
+    `wide_read[p, i, t * w + s]`, slot s of row `cols[p, i, t]`, with the
+    weight `wide_weight[p, i, t * w + s]`, which is `vals[p, i, t]`.
+
     `cols` and `vals` hold two head stacks of `chunk` lambdas, the source and
     destination of a position, and `reads` and `weights` take a position's
     reads and weights for a chunk; `first` is the flat slot 0 of each
     lambda, repeated to the shape of `reads`.  Those six arrays take 80
     bytes a slot, and `chunk` is the most lambdas whose slots fit in
-    CHUNK_BYTES: 25 at 64 x 64 and 51 at 32 x 32 with w = 2.  `lams` is the
-    stack of CHUNK_BYTES of matrices the heads are scattered into,
-    `base[k, i]` the flat index of row i of its matrix k, and `where` takes
-    a slot's scatter indices; `spare` and `term` are the block steps'.  So
-    a scratch keeps about 2 x CHUNK_BYTES plus two matrices and the tables:
-    0.7 MiB at 64 x 64 for the default gates.  It is not for concurrent use.
+    CHUNK_BYTES: 25 at 64 x 64, 51 at 32 x 32 and 102 at 16 x 16 with
+    w = 2.  The `wide_` buffers are the last position's alike, at 56 bytes
+    each of their w * w slots a row: 0.7 w x CHUNK_BYTES.  `lams` is the stack of CHUNK_BYTES
+    of matrices the heads are scattered into, `base[k, i, j]` the flat
+    index of row i of its matrix k for each of the row's w * w slots, and
+    `where` takes the scatter indices; `spare` and `term` are the block
+    steps'.  So a scratch keeps about (2 + 0.7 w) x CHUNK_BYTES plus two
+    matrices and the tables: 1.2 MiB at 64 x 64 for the default gates.  It
+    is not for concurrent use.
     """
 
     def __init__(self, table: PlacementTable):
         _, dim, width = table.cols.shape
+        slots = width * width
         narrow = (table.width == 1)[:, None, None]
         self.read = np.where(narrow, table.cols[..., :1] * width + np.arange(width),
                              table.cols * width)
         self.weight = np.where(narrow, table.vals[..., :1], table.vals)
+        self.wide_read = (table.cols[..., None] * width + np.arange(width)).reshape(-1, dim, slots)
+        self.wide_weight = np.repeat(table.vals, width, axis=2)
         self.chunk = max(1, CHUNK_BYTES // (80 * dim * width))
         self.cols = np.empty((2, self.chunk, dim, width), dtype=np.intp)
         self.vals = np.empty((2, self.chunk, dim, width), dtype=complex)
@@ -417,10 +454,16 @@ class BlockScratch:
         self.weights = np.empty((self.chunk, dim, width), dtype=complex)
         self.first = np.repeat(np.arange(0, self.chunk * dim * width, dim * width),
                                dim * width).reshape(self.chunk, dim, width)
+        self.wide_cols = np.empty((self.chunk, dim, slots), dtype=np.intp)
+        self.wide_vals = np.empty((self.chunk, dim, slots), dtype=complex)
+        self.wide_reads = np.empty((self.chunk, dim, slots), dtype=np.intp)
+        self.wide_weights = np.empty((self.chunk, dim, slots), dtype=complex)
+        self.wide_first = np.repeat(self.first[..., :1], slots, axis=2)
         stack = max(1, CHUNK_BYTES // (16 * dim * dim))
         self.lams = np.empty((stack, dim, dim), dtype=complex)
-        self.base = np.arange(0, stack * dim * dim, dim).reshape(stack, dim)
-        self.where = np.empty((stack, dim), dtype=np.intp)
+        self.base = np.repeat(np.arange(0, stack * dim * dim, dim), slots).reshape(
+            stack, dim, slots)
+        self.where = np.empty((stack, dim, slots), dtype=np.intp)
         self.spare, self.term = np.empty((2, dim, dim), dtype=complex)
 
 

@@ -182,8 +182,10 @@ def head_rows(table, extended):
     """Rows of six positions that end a block kernel head in each way it can end.
 
     Width 1 are S, T, CNOT, CNOT2 and the wire; H (and the user gates CU and
-    V) are wider.  CU has rows of width 1 and 2, so its product carries
-    zero-weight pad slots, and the CNOT2 and P after it move them.
+    V) are wider.  A head ends at a row's second wide placement, or with the
+    row.  CU has rows of width 1 and 2, so its product carries zero-weight
+    pad slots, and the CNOT2 and P after it move them; V has rows of width
+    4, so the extended table's heads end in 16 slots a row.
     """
     def at(*gates):
         return [table.index[gate] for gate in gates] + [0] * (6 - len(gates))
@@ -193,10 +195,28 @@ def head_rows(table, extended):
         at(("S", 0), ("CNOT", 1), ("T", 3), ("CNOT2", 2), ("S", 4), ("H", 3)),  # wide last
         at(("H", 0), ("CNOT", 0), ("T", 1), ("CNOT2", 1), ("H", 4), ("S", 1)),  # wide first
         at(("S", 0), ("H", 0), ("H", 1), ("CNOT", 0), ("T", 1)),  # two adjacent wide
+        # H H on one qubit: the second's terms share columns and cancel to zeros
+        at(("T", 2), ("H", 2), ("H", 2), ("S", 2)),
+        at(("H", 1), ("H", 1)),
+        at(("H", 0), ("T", 0), ("H", 3)),  # H on two qubits: disjoint columns
+        # the CNOT carries the first H's row pair onto the second H's qubit
+        at(("H", 1), ("CNOT", 1), ("H", 2)),
+        at(("H", 3), ("CNOT2", 2), ("T", 2), ("H", 2)),
+        at(("S", 1), ("H", 1), ("T", 0), ("CNOT", 0), ("S", 3), ("H", 0)),  # second wide last
+        # narrow placements and a third wide one after the second
+        at(("H", 0), ("H", 1), ("S", 0), ("CNOT", 1), ("H", 2), ("T", 3)),
+        at(("H", 2), ("CNOT", 2), ("H", 3), ("H", 2), ("CNOT2", 1), ("H", 1)),
     ]
     if extended:
         rows.append(at(("CNOT", 2), ("CU", 1), ("CNOT2", 1), ("P", 2), ("H", 3), ("T", 2)))
         rows.append(at(("CU2", 0), ("P2", 1), ("S", 1), ("CU", 2), ("V", 0)))
+        rows.append(at(("CU", 1), ("H", 1), ("S", 2)))  # pad slots into the second wide
+        rows.append(at(("CU", 0), ("T", 1), ("H", 2)))
+        rows.append(at(("H", 0), ("V", 0), ("T", 1)))  # H then V: 16 slots a row
+        rows.append(at(("H", 2), ("CNOT", 1), ("V2", 1), ("H", 0)))
+        # V then V on one pair: four terms an entry, summed in gate column order
+        rows.append(at(("V", 0), ("S", 1), ("V", 0)))
+        rows.append(at(("V", 2), ("V2", 2), ("T", 3)))
     return rows
 
 
@@ -224,6 +244,55 @@ def test_block_head_matches_scalar_evaluator(gate_sets, data, extended, m, g, ch
     assert corr.tolist() == refs
 
 
+def count_block_steps(monkeypatch):
+    """The list of block steps `block_overlaps` applies from now on."""
+    applied = []
+
+    def spy(step, *args):
+        applied.append(step)
+        return apply_block_step(step, *args)
+
+    monkeypatch.setattr(evaluate, "apply_block_step", spy)
+    return applied
+
+
+def test_block_kernel_applies_only_the_positions_after_each_second_wide_placement(
+        gate_sets, monkeypatch):
+    table = gate_sets[0].table(5)
+    applied = count_block_steps(monkeypatch)
+    # rows cut after their last placement other than a wire, where that is
+    # their second wide one or they have fewer: the head is the whole row
+    ends = 0
+    for row in head_rows(table, False):
+        row = row[:max((j + 1 for j, i in enumerate(row) if i), default=0)]
+        wide = int((table.width[row] > 1).sum())
+        if wide < 2 or wide == 2 and table.width[row[-1]] > 1:
+            corr = kernel_batch("block", np.array([row], dtype=np.int64), table, GOALS[5])[1]
+            ref = evaluate_circuit([table.cases[i] for i in row], GOALS[5], FP)
+            assert corr[0] == ref.correctness
+            ends += 1
+    assert ends == 7 and applied == []
+    rows = np.random.default_rng(15).integers(0, len(table), (300, 8))
+    corr = kernel_batch("block", rows, table, GOALS[5])[1]
+    # each row's positions after its second wide placement, wires included
+    count = np.cumsum(table.width[rows] > 1, axis=1)
+    after = int((count > 2).sum() + ((count == 2) & (table.width[rows] == 1)).sum())
+    assert len(applied) == after == 503
+    assert corr.tolist() == kernel_batch("row_sparse", rows, table, GOALS[5])[1].tolist()
+
+
+@pytest.mark.parametrize("kernel", ["block", "row_sparse"])
+@pytest.mark.parametrize("shape", [(0, 6), (4, 0), (0, 0)])
+def test_empty_batches_score_as_empty_circuits(kernel, shape):
+    table = default_gate_set().table(5)
+    fitness, corr, cost = kernel_batch(kernel, np.zeros(shape, dtype=np.int64), table, GOALS[5])
+    assert fitness.shape == corr.shape == cost.shape == (shape[0],)
+    ref = evaluate_circuit([], GOALS[5], FP)
+    assert corr.tolist() == [ref.correctness] * shape[0]
+    assert fitness.tolist() == [ref.fitness] * shape[0]
+    assert cost.tolist() == [0] * shape[0]
+
+
 def test_repeated_block_batch_allocates_no_chunk_sized_array():
     table = default_gate_set().table(6)
     rows = np.random.default_rng(14).integers(0, len(table), (200, 8))
@@ -234,9 +303,10 @@ def test_repeated_block_batch_allocates_no_chunk_sized_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the stack of 64 x 64 matrices is 256 KiB; what a call allocates is
-    # numpy's 128 KiB iteration buffer of a dense block step's broadcast
-    # product, and index arrays of the rows
+    # the stack of 64 x 64 matrices is 256 KiB, and the head chunk's w * w
+    # slot arrays 350 KiB; what a call allocates is numpy's 128 KiB
+    # iteration buffer of a dense block step's broadcast product, and index
+    # arrays of the rows
     assert peak < 256 * 1024
 
 
@@ -319,7 +389,7 @@ def test_batch_rejects_an_index_outside_the_table(gate_sets, bad_index):
 
 @pytest.mark.parametrize("bad_index", [-1, 24])
 def test_block_kernel_rejects_an_index_outside_the_table(gate_sets, bad_index):
-    # from 32 x 32 up the block kernel scores the rows; a negative index must
+    # from 16 x 16 up the block kernel scores the rows; a negative index must
     # not wrap to the last placement, nor N fail on a bare tuple index
     table = gate_sets[0].table(5)
     assert len(table) == 24
@@ -499,6 +569,7 @@ def small(seed, **kw):
     ("entangle3", 5, 1, False),
     ("controlled_s", 3, 2, True),
     ("random5", 4, 4, True),  # 32x32: the block kernel
+    ("random6", 5, 6, False),  # 64x64
 ])
 # a generation's distinct rows are scored in multi-row chunks, or one row per chunk
 @pytest.mark.parametrize("chunk_bytes", [1 << 16, 7])
@@ -506,7 +577,7 @@ def test_evolve_matches_scalar_loop(gate_sets, monkeypatch, goal_name, g, seed, 
                                     chunk_bytes):
     monkeypatch.setattr(evaluate, "CHUNK_BYTES", chunk_bytes)
     gs = gate_sets[extended]
-    goal = GOALS[5] if goal_name == "random5" else builtin(goal_name)
+    goal = GOALS[int(goal_name[-1])] if goal_name.startswith("random") else builtin(goal_name)
     params = small(seed)
     result = evolve(goal, gs, g, params)
     history, best_bits, best_eval = scalar_evolve(goal, gs, g, params)
