@@ -10,7 +10,7 @@ from dataclasses import astuple, fields
 from oracle_forge.cli import write_csv
 from oracle_forge.kron_apply import BenchRow, benchmark_sweep
 
-rows = benchmark_sweep(max_total=64, seed=0)
+rows = benchmark_sweep(max_total=64)
 
 write_csv([[f.name for f in fields(BenchRow)], *map(astuple, rows)])
 

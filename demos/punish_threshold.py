@@ -23,7 +23,7 @@ print(f"analytic threshold: punish = {threshold:.4f}\n")
 print("punish  empty_fitness  best_correct_fitness  ST/10  AS")
 for punish in (1, 5, 20, 100):
     fp = FitnessParams(satcost=6, award=1, punish=punish)
-    params = HqeaParams(fitness=fp, max_gen=100)
-    stats = run_batch(goal, gs, 6, params, n_runs=10, base_seed=400)
+    params = HqeaParams(fitness=fp, max_gen=100, seed=400)
+    stats = run_batch(goal, gs, 6, params, n_runs=10)
     print(f"{punish:>6}  {fitness_value(0, corr_empty, fp):>13.4f}  "
           f"{fitness_value(3, 1.0, fp):>20.4f}  {stats.st:>5}  {stats.as_mean:>5.1f}")

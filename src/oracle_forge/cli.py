@@ -112,7 +112,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                          help="sweep all power-of-two (m,n,k) with m*n*k <= this")
     p_bench.add_argument("--triple", type=whole, nargs=3, action="append", metavar=("M", "N", "K"),
                          help="benchmark an explicit triple instead of the sweep")
-    p_bench.add_argument("--seed", type=whole, default=bench["seed"].default)
     p_bench.add_argument("--csv", help="write rows to this file instead of stdout")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -235,8 +234,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = benchmark_sweep(max_total=args.max_total, seed=args.seed,
-                           triples=[tuple(t) for t in args.triple] if args.triple else None)
+    rows = benchmark_sweep(args.max_total, [tuple(t) for t in args.triple] if args.triple else None)
     write_csv([[f.name for f in fields(BenchRow)], *map(astuple, rows)], args.csv)
     return 0
 
@@ -262,7 +260,7 @@ def main(argv=None) -> int:
             command.set_defaults(**_load_config(args.config, command))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a budget too large to hold, such as a huge --g

@@ -86,7 +86,6 @@ class RunResult:
 
 @dataclass
 class BatchStats:
-    runs: int
     st: int
     as_mean: float
     ot: int | None
@@ -181,20 +180,12 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
     )
 
 
-def run_batch(
-    goal: GoalSpec,
-    gs: GateSet,
-    max_gates: int,
-    params: HqeaParams,
-    n_runs: int,
-    base_seed: int | None = None,
-) -> BatchStats:
-    """Repeat evolve with seeds base_seed + i and aggregate ST / AS / OT."""
+def run_batch(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams,
+              n_runs: int) -> BatchStats:
+    """Repeat evolve with seeds params.seed + i and aggregate ST / AS / OT."""
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
-    if base_seed is None:
-        base_seed = params.seed
-    results = [evolve(goal, gs, max_gates, replace(params, seed=base_seed + i))
+    results = [evolve(goal, gs, max_gates, replace(params, seed=params.seed + i))
                for i in range(n_runs)]
     successes = [r for r in results if r.success]
     st = len(successes)
@@ -202,4 +193,4 @@ def run_batch(
     ot = None
     if goal.optimal_cost is not None:
         ot = sum(1 for r in successes if r.best_eval.allcost == goal.optimal_cost)
-    return BatchStats(runs=n_runs, st=st, as_mean=as_mean, ot=ot, results=results)
+    return BatchStats(st=st, as_mean=as_mean, ot=ot, results=results)

@@ -24,9 +24,6 @@ class MulCounter:
     def add(self, n):
         self.count += n
 
-    def __repr__(self):
-        return f"MulCounter(count={self.count})"
-
 
 def as_matrix(values) -> np.ndarray:
     """Coerce to a square complex matrix, rejecting NaN/Inf entries."""

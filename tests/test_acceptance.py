@@ -134,8 +134,8 @@ def test_criterion_5_brute_force_optimal_costs():
 def test_criterion_6_entangle2_synthesis():
     t0 = time.perf_counter()
     params = HqeaParams(fitness=FitnessParams(satcost=6, award=1, punish=20),
-                        max_gen=100)
-    stats = run_batch(builtin("entangle2"), GS, 6, params, 20, base_seed=100)
+                        max_gen=100, seed=100)
+    stats = run_batch(builtin("entangle2"), GS, 6, params, 20)
     elapsed = time.perf_counter() - t0
     ok = stats.st >= 16 and elapsed < 120
     report(6, f"entangle2 satcost 6: ST={stats.st}/20 AS={stats.as_mean:.1f} "
@@ -148,8 +148,8 @@ def test_criterion_7_punish_threshold():
     empty = fitness_value(0, s, fp)
     best_correct = fitness_value(3, 1.0, fp)  # cheapest possible correct circuit
     analytic = empty < best_correct and abs(empty - (-6 + (1 - s))) <= 1e-12
-    params = HqeaParams(fitness=fp, max_gen=100)
-    stats = run_batch(builtin("entangle2"), GS, 6, params, 20, base_seed=100)
+    params = HqeaParams(fitness=fp, max_gen=100, seed=100)
+    stats = run_batch(builtin("entangle2"), GS, 6, params, 20)
     ok = analytic and stats.st <= 2
     report(7, f"punish=1 pathology: empty fitness {empty:.4f} < {best_correct}; "
               f"ST={stats.st}/20", ok)
@@ -158,8 +158,8 @@ def test_criterion_7_punish_threshold():
 def test_criterion_8a_entangle3_benchmark():
     t0 = time.perf_counter()
     params = HqeaParams(fitness=FitnessParams(satcost=8, award=1, punish=20),
-                        max_gen=200)
-    stats = run_batch(builtin("entangle3"), GS, 8, params, 20, base_seed=100)
+                        max_gen=200, seed=100)
+    stats = run_batch(builtin("entangle3"), GS, 8, params, 20)
     elapsed = time.perf_counter() - t0
     ok = stats.st >= 10 and elapsed < 900
     report("8a", f"entangle3 satcost 8: ST={stats.st}/20 AS={stats.as_mean:.1f} "
@@ -173,8 +173,8 @@ def test_criterion_8b_controlled_s_benchmark():
     # termination rule.  Kept as specified; see the decisions ledger.
     t0 = time.perf_counter()
     params = HqeaParams(fitness=FitnessParams(satcost=10, award=1, punish=100),
-                        max_gen=500)
-    stats = run_batch(builtin("controlled_s"), GS, 8, params, 20, base_seed=100)
+                        max_gen=500, seed=100)
+    stats = run_batch(builtin("controlled_s"), GS, 8, params, 20)
     elapsed = time.perf_counter() - t0
     ok = stats.st >= 10 and elapsed < 900
     report("8b", f"controlled_s satcost 10: ST={stats.st}/20 AS={stats.as_mean:.1f} "

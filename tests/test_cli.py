@@ -197,8 +197,6 @@ def test_bench_matmul_past_the_largest_dimension_exits_1_before_any_triple(capsy
 @pytest.mark.parametrize("argv", [
     ["synth", "--goal", "entangle2"],
     ["experiment", "--goal", "entangle2", "--runs", "1"],
-    ["bench-matmul", "--max-total", "4"],
-    ["bench-matmul", "--triple", "1", "2", "1"],
 ])
 def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, monkeypatch, argv):
     # numpy's own error named no flag; synth would write into its --out-dir, "."
@@ -207,6 +205,15 @@ def test_negative_seed_exits_1_naming_the_seed(tmp_path, capsys, monkeypatch, ar
     assert code == 1 and out == ""
     assert err.strip().splitlines() == ["error: seed must be non-negative, got -1"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_matmul_has_no_seed_flag(capsys):
+    # its counts depend only on the triples, so a seed would change no output
+    with pytest.raises(SystemExit) as exc:
+        main(["bench-matmul", "--max-total", "4", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert "unrecognized arguments: --seed 1" in err
 
 
 def test_brute_subcommand(capsys):
@@ -299,7 +306,7 @@ def spy_on_batches(monkeypatch):
 
     def fake_batch(goal, gs, g, params, n_runs):
         seen.append((g, params, n_runs))
-        return BatchStats(runs=n_runs, st=0, as_mean=0.0, ot=None, results=[])
+        return BatchStats(st=0, as_mean=0.0, ot=None, results=[])
 
     monkeypatch.setattr(cli, "run_batch", fake_batch)
     return seen

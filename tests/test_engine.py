@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def test_best_fitness_monotone_across_generations(gs):
 
 def test_run_batch_aggregation(gs):
     goal = builtin("entangle2")
-    stats = run_batch(goal, gs, 6, small_params(max_gen=60), n_runs=3, base_seed=10)
+    stats = run_batch(goal, gs, 6, small_params(max_gen=60, seed=10), n_runs=3)
     assert isinstance(stats, BatchStats)
     assert 0 <= stats.st <= 3
     if stats.st:
@@ -194,10 +195,19 @@ def test_run_batch_aggregation(gs):
 
 def test_run_batch_seeds_are_independent(gs):
     goal = builtin("entangle2")
-    s1 = run_batch(goal, gs, 6, small_params(), n_runs=2, base_seed=0)
-    s2 = run_batch(goal, gs, 6, small_params(), n_runs=2, base_seed=0)
+    s1 = run_batch(goal, gs, 6, small_params(seed=0), n_runs=2)
+    s2 = run_batch(goal, gs, 6, small_params(seed=0), n_runs=2)
     for a, b in zip(s1.results, s2.results):
         assert np.array_equal(a.best_bits, b.best_bits)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_run_batch_runs_the_seeds_from_params_seed(gs, seed):
+    goal, params = builtin("entangle2"), small_params(max_gen=5)
+    stats = run_batch(goal, gs, 6, replace(params, seed=seed), n_runs=3)
+    for s, result in zip(range(seed, seed + 3), stats.results, strict=True):
+        alone = evolve(goal, gs, 6, replace(params, seed=s))
+        assert np.array_equal(result.best_bits, alone.best_bits)
 
 
 @pytest.mark.parametrize("g", [0, -1])
