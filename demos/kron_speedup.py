@@ -7,12 +7,12 @@ measured counts next to the M + K > 1.66 N prediction rule.
 """
 from dataclasses import astuple, fields
 
-from oracle_forge.cli import write_csv
+from oracle_forge.cli import csv_text, report
 from oracle_forge.kron_apply import BenchRow, benchmark_sweep
 
 rows = benchmark_sweep(max_total=64)
 
-write_csv([[f.name for f in fields(BenchRow)], *map(astuple, rows)])
+report(csv_text([[f.name for f in fields(BenchRow)], *map(astuple, rows)]))
 
 print()
 print("Largest win in the sweep:")

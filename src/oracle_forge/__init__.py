@@ -50,6 +50,6 @@ from .kron_apply import (
     speedup_predicted,
 )
 from .linalg import MulCounter, is_unitary, kron, mat_mul_naive
-from .targets import BUILTIN_NAMES, builtin, load_goal, save_goal
+from .targets import BUILTIN_NAMES, builtin, goal_from_json, goal_to_json
 
 __version__ = "0.1.0"

@@ -72,14 +72,6 @@ class SearchReport:
     witness: list | None
     circuits_examined: int
 
-    def to_json(self) -> dict:
-        return {
-            "min_cost": self.min_cost,
-            "witness": None if self.witness is None
-            else [{"gate": p.name, "top": p.top} for p in self.witness],
-            "circuits_examined": self.circuits_examined,
-        }
-
 
 def node_count(n_gates: int, max_gates: int, stop: int | None = None) -> int:
     """Sequences of length 0..max_gates over n_gates non-wire placements,

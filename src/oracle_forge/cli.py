@@ -5,6 +5,10 @@ ST/AS/OT statistics), verify (score a saved circuit against a goal),
 bench-matmul (structured-kernel operation counts) and brute (exhaustive
 minimal-cost search).
 
+Only this module opens files: `read_json` reads every input file and
+`write_text` writes every output file, and the library converts JSON values.
+Every report is printed, and its --csv or --out flag also writes it to a file.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 evolution
 finished max_gen without a satisfying circuit.  Values resolve as
 command-line flag > config file > default.  Each default is written once, in
@@ -16,15 +20,15 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import json
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import astuple, fields, replace
 
 from . import targets
 from .brute import min_cost_search
-from .codec import load_circuit, render_ascii, save_circuit
+from .codec import circuit_from_json, circuit_to_json, render_ascii
 from .engine import HqeaParams, evolve, run_batch
 from .evaluate import FitnessParams, evaluate_circuit, is_success
 from .gates import default_gate_set, extend_gate_set, json_object, whole_number
@@ -70,7 +74,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def add_goal_flags(p):
         p.add_argument("--goal", help=f"built-in goal: {', '.join(targets.BUILTIN_NAMES)}")
-        p.add_argument("--goal-file", help="JSON goal file (see targets.save_goal)")
+        p.add_argument("--goal-file", help="JSON goal file (see targets.goal_to_json)")
         p.add_argument("--gate-file", help="JSON file of extra gates to add to the catalog")
 
     def add_run_flags(p):
@@ -112,7 +116,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                          help="sweep all power-of-two (m,n,k) with m*n*k <= this")
     p_bench.add_argument("--triple", type=whole, nargs=3, action="append", metavar=("M", "N", "K"),
                          help="benchmark an explicit triple instead of the sweep")
-    p_bench.add_argument("--csv", help="write rows to this file instead of stdout")
+    p_bench.add_argument("--csv", help="also write the rows to this CSV file")
     p_bench.set_defaults(func=cmd_bench)
 
     p_brute = sub.add_parser("brute", help="exhaustive minimal-cost search")
@@ -120,7 +124,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_brute.add_argument("--max-gates", type=whole, required=True)
     p_brute.add_argument("--eps", type=float, default=brute["eps"].default)
     p_brute.add_argument("--budget", type=whole, default=brute["budget"].default)
-    p_brute.add_argument("--out", help="write the JSON report to this file")
+    p_brute.add_argument("--out", help="also write the JSON report to this file")
     p_brute.set_defaults(func=cmd_brute)
 
     return parser, sub.choices
@@ -131,8 +135,7 @@ def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
 
     Other keys are ignored.
     """
-    with open(path) as f:
-        cfg = json_object(json.load(f), "a config file")
+    cfg = json_object(read_json(path), "a config file")
     flags = {a.dest: a.type for a in command._actions if a.option_strings and a.nargs is None}
     return {key: _config_value(key, val, flags[key]) for key, val in cfg.items()
             if key in flags and val is not None}
@@ -150,22 +153,41 @@ def _config_value(key: str, val, kind):
                      f"got {val!r}")
 
 
-def write_csv(rows, path=None) -> None:
-    """Write rows as CSV to the file at path, else to stdout: the program's one CSV writer.
+def read_json(path):
+    """The JSON value in the file at path: how every input file is read."""
+    with open(path) as f:
+        return json.load(f)
 
-    A float field prints as its repr, None as empty, and a field holding a
-    comma or a quote is quoted."""
-    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as f:
-        csv.writer(f, lineterminator="\n").writerows(rows)
+
+def write_text(path, text: str) -> None:
+    """Write text to the file at path: how every output file is written."""
+    with open(path, "w", newline="") as f:
+        f.write(text)
+
+
+def report(text: str, path=None) -> None:
+    """Print a report, and first write the same text to the file at path if one is given."""
+    if path:
+        write_text(path, text)
+    sys.stdout.write(text)
+
+
+def csv_text(rows) -> str:
+    """Rows as CSV, the program's one CSV format: a float field as its repr,
+    None as empty, and a field holding a comma or a quote quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _goal(args):
     if bool(args.goal) == bool(args.goal_file):
         raise ValueError("exactly one of --goal / --goal-file is required")
-    goal = targets.builtin(args.goal) if args.goal else targets.load_goal(args.goal_file)
+    goal = (targets.builtin(args.goal) if args.goal
+            else targets.goal_from_json(read_json(args.goal_file)))
     gs = default_gate_set()
     if args.gate_file:
-        gs = extend_gate_set(gs, args.gate_file)
+        gs = extend_gate_set(gs, read_json(args.gate_file))
     return goal, gs
 
 
@@ -186,9 +208,11 @@ def cmd_synth(args) -> int:
     result = evolve(goal, gs, args.g, _params(args, goal))
 
     os.makedirs(args.out_dir, exist_ok=True)
-    save_circuit(result.best_circuit, goal.num_qubits, os.path.join(args.out_dir, "circuit.json"))
-    write_csv([("gen", "best_fitness", "best_correctness", "best_cost"), *result.history],
-              os.path.join(args.out_dir, "generations.csv"))
+    write_text(os.path.join(args.out_dir, "circuit.json"),
+               json.dumps(circuit_to_json(result.best_circuit, goal.num_qubits), indent=2) + "\n")
+    write_text(os.path.join(args.out_dir, "generations.csv"),
+               csv_text([("gen", "best_fitness", "best_correctness", "best_cost"),
+                         *result.history]))
 
     print(render_ascii(result.best_circuit, goal.num_qubits))
     print(f"cost:        {result.best_eval.allcost}")
@@ -212,15 +236,13 @@ def cmd_experiment(args) -> int:
         stats = run_batch(goal, gs, args.g, batch, args.runs)
         rows.append([goal.name or "custom", fp.satcost, args.g, params.max_gen, fp.award,
                      batch.fitness.punish, args.runs, stats.st, stats.as_mean, stats.ot])
-    write_csv(rows)
-    if args.csv:
-        write_csv(rows, args.csv)
+    report(csv_text(rows), args.csv)
     return 0
 
 
 def cmd_verify(args) -> int:
     goal, gs = _goal(args)
-    circuit, m = load_circuit(args.circuit, gs)
+    circuit, m = circuit_from_json(read_json(args.circuit), gs)
     if m != goal.num_qubits:
         raise ValueError(f"circuit is on {m} qubits but goal is on {goal.num_qubits}")
     fp = FitnessParams(_satcost(args, goal))
@@ -235,18 +257,17 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     rows = benchmark_sweep(args.max_total, [tuple(t) for t in args.triple] if args.triple else None)
-    write_csv([[f.name for f in fields(BenchRow)], *map(astuple, rows)], args.csv)
+    report(csv_text([[f.name for f in fields(BenchRow)], *map(astuple, rows)]), args.csv)
     return 0
 
 
 def cmd_brute(args) -> int:
     goal, gs = _goal(args)
-    report = min_cost_search(goal, args.max_gates, gs, eps=args.eps, budget=args.budget)
-    text = json.dumps(report.to_json(), indent=2)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    print(text)
+    found = min_cost_search(goal, args.max_gates, gs, eps=args.eps, budget=args.budget)
+    witness = (None if found.witness is None
+               else circuit_to_json(found.witness, goal.num_qubits)["gates"])
+    report(json.dumps({"min_cost": found.min_cost, "witness": witness,
+                       "circuits_examined": found.circuits_examined}, indent=2) + "\n", args.out)
     return 0
 
 

@@ -7,8 +7,6 @@ floor(2^k/N) or ceil(2^k/N) preimages.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .gates import (GateSet, Placement, json_fields, json_list, json_object, require_qubits,
@@ -118,13 +116,3 @@ def circuit_from_json(data: dict, gs: GateSet) -> tuple[list[Placement], int]:
         circuit.append(gs.placement(name, whole_number(top, f"gate {name!r}: top"), m))
     return circuit, m
 
-
-def save_circuit(circuit, m: int, path) -> None:
-    with open(path, "w") as f:
-        json.dump(circuit_to_json(circuit, m), f, indent=2)
-        f.write("\n")
-
-
-def load_circuit(path, gs: GateSet) -> tuple[list[Placement], int]:
-    with open(path) as f:
-        return circuit_from_json(json.load(f), gs)

@@ -19,7 +19,6 @@ on it with `PlacementTable.kept`.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -302,18 +301,16 @@ def json_matrix(value, what: str) -> np.ndarray:
     return np.array([[complex(re, im) for (re, im) in row] for row in value], dtype=complex)
 
 
-def extend_gate_set(gs: GateSet, path) -> GateSet:
-    """Append user gates from a JSON file of {name, arity, cost, matrix} entries.
+def extend_gate_set(gs: GateSet, entries) -> GateSet:
+    """Append user gates from a gate file's JSON list of {name, arity, cost, matrix} entries.
 
     Matrices are given as nested [re, im] pairs and validated for
     unitarity on load.  Two-qubit entries are treated as families and
     contribute both orientations.
     """
-    with open(path) as f:
-        entries = json_list(json.load(f), "a gate file")
     one = list(gs.one_qubit)
     two = list(gs.two_qubit)
-    for i, e in enumerate(entries):
+    for i, e in enumerate(json_list(entries, "a gate file")):
         what = f"gate entry {i}"
         name, arity, cost, matrix = json_fields(json_object(e, what), what,
                                                 "name", "arity", "cost", "matrix")

@@ -1,12 +1,10 @@
-"""Built-in goal unitaries and goal-file I/O.
+"""Built-in goal unitaries, and the JSON form of a goal.
 
 The entangling goals are defined as the unitaries of their optimal
 reference circuits (Bell / GHZ state preparation), composed from exact
 gate matrices.
 """
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -55,7 +53,9 @@ def builtin(name: str) -> GoalSpec:
         ) from None
 
 
-def save_goal(goal: GoalSpec, path) -> None:
+def goal_to_json(goal: GoalSpec) -> dict:
+    """Exportable form: the qubit count, the matrix as [re, im] pairs, and the
+    optimal cost and name when the goal has them."""
     data = {
         "qubits": goal.num_qubits,
         "matrix": [[[z.real, z.imag] for z in row] for row in goal.matrix],
@@ -64,15 +64,12 @@ def save_goal(goal: GoalSpec, path) -> None:
         data["optimal_cost"] = goal.optimal_cost
     if goal.name:
         data["name"] = goal.name
-    with open(path, "w") as f:
-        json.dump(data, f)
-        f.write("\n")
+    return data
 
 
-def load_goal(path) -> GoalSpec:
-    """Load a goal file; `GoalSpec` rejects non-unitary or non-2^m matrices."""
-    with open(path) as f:
-        data = json_object(json.load(f), "a goal file")
+def goal_from_json(data) -> GoalSpec:
+    """Rebuild a goal from the JSON form; `GoalSpec` rejects non-unitary or non-2^m matrices."""
+    data = json_object(data, "a goal file")
     mat = json_matrix(*json_fields(data, "a goal file", "matrix"), "goal matrix")
     m = whole_number(data.get("qubits", len(mat).bit_length() - 1), "goal qubits")
     opt = data.get("optimal_cost")

@@ -6,7 +6,6 @@ and those of a per-placement loop over the structured kernel exactly, and
 evaluate it, cache it by its bytes, scan in (member, measurement) order).
 """
 import dataclasses
-import json
 import math
 import tracemalloc
 from unittest import mock
@@ -59,7 +58,7 @@ def gate_entry(name, matrix, cost):
 
 
 @pytest.fixture(scope="module")
-def gate_sets(tmp_path_factory):
+def gate_sets():
     """The default gate set and one extended by user gates of every block kind.
 
     The user gates are dense 2x2 and 4x4 unitaries, a controlled unitary
@@ -75,10 +74,8 @@ def gate_sets(tmp_path_factory):
     entries = [gate_entry("U", random_unitary(rng, 2), 1), gate_entry("V", random_unitary(rng, 4), 3),
                gate_entry("CU", controlled, 2), gate_entry("P", cycle, 2),
                gate_entry("D", phases, 2)]
-    path = tmp_path_factory.mktemp("gates") / "user.json"
-    path.write_text(json.dumps(entries))
     base = default_gate_set()
-    ext = extend_gate_set(base, path)
+    ext = extend_gate_set(base, entries)
     assert not np.array_equal(cycle @ cycle, np.eye(4))
     return base, ext
 
@@ -362,13 +359,11 @@ def test_batch_rejects_a_read_outside_the_chunk(gate_sets, bad_row):
 
 
 @pytest.mark.parametrize("g", [1, 2, 4])
-def test_huge_cost_rows_score_as_the_scalar_evaluator_or_are_rejected(tmp_path, g):
+def test_huge_cost_rows_score_as_the_scalar_evaluator_or_are_rejected(g):
     # one gate of cost 2^62 fits in int64, where the batch sums costs; the
     # rows of two or more could sum past it, which wrapped to a negative cost
-    path = tmp_path / "gates.json"
     x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
-    path.write_text(json.dumps([gate_entry("X", x_gate, 1 << 62)]))
-    table = extend_gate_set(default_gate_set(), path).table(2)
+    table = extend_gate_set(default_gate_set(), [gate_entry("X", x_gate, 1 << 62)]).table(2)
     x = table.index[("X", 0)]
     rows = np.array([[x] * g, [x] + [0] * (g - 1)])
     goal, fp = builtin("swap"), FitnessParams(satcost=6)

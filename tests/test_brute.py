@@ -1,5 +1,4 @@
 """The exhaustive verifier, and its blocked search against the plain recursive DFS."""
-import json
 import math
 from unittest import mock
 
@@ -76,14 +75,6 @@ def test_no_match_returns_none(gs):
     # SWAP needs cost 6; a single gate can never realize it
     report = min_cost_search(builtin("swap"), 1, gs)
     assert report.min_cost is None and report.witness is None
-
-
-def test_report_json(gs):
-    report = min_cost_search(builtin("entangle2"), 3, gs)
-    data = report.to_json()
-    assert data["min_cost"] == 3
-    assert data["witness"] == [{"gate": "H", "top": 0}, {"gate": "CNOT", "top": 0}]
-    assert data["circuits_examined"] > 0
 
 
 def test_ea_never_beats_brute_force(gs):
@@ -250,17 +241,15 @@ def random_unitary(rng, dim):
 
 
 @pytest.fixture(scope="module")
-def gate_sets(tmp_path_factory):
+def gate_sets():
     """The default gate set and one extended by dense user gates, one of cost 0."""
     rng = np.random.default_rng(11)
     entries = [{"name": name, "arity": arity, "cost": cost,
                 "matrix": [[[z.real, z.imag] for z in row]
                            for row in random_unitary(rng, 1 << arity)]}
                for name, arity, cost in (("U", 1, 0), ("V", 2, 3))]
-    path = tmp_path_factory.mktemp("gates") / "dense.json"
-    path.write_text(json.dumps(entries))
     base = default_gate_set()
-    return base, extend_gate_set(base, path)
+    return base, extend_gate_set(base, entries)
 
 
 def draw_goal(data, table, m, reachable):

@@ -10,10 +10,12 @@ import pytest
 
 from oracle_forge import kron_apply
 from oracle_forge.cli import build_parser, main
+from oracle_forge.codec import circuit_from_json
 from oracle_forge.engine import evolve
-from oracle_forge.evaluate import GoalSpec
+from oracle_forge.evaluate import FitnessParams, GoalSpec, evaluate_circuit, is_success
 from oracle_forge.linalg import identity
-from oracle_forge.targets import builtin, save_goal
+from oracle_forge.gates import default_gate_set
+from oracle_forge.targets import builtin, goal_to_json
 
 
 def run(capsys, *argv):
@@ -52,7 +54,7 @@ def test_synth_requires_exactly_one_goal(tmp_path, capsys):
 
 def test_synth_identity_goal_file(tmp_path, capsys):
     goal_path = tmp_path / "identity.json"
-    save_goal(GoalSpec(2, identity(4), name="identity"), goal_path)
+    goal_path.write_text(json.dumps(goal_to_json(GoalSpec(2, identity(4), name="identity"))))
     code, out, _ = run(capsys, "synth", "--goal-file", str(goal_path),
                        "--g", "4", "--max-gen", "50", "--seed", "3",
                        "--out-dir", str(tmp_path))
@@ -169,11 +171,12 @@ def test_bench_matmul_triple(capsys):
 
 
 def test_bench_matmul_sweep_csv(tmp_path, capsys):
+    # the rows are printed as well as written, as every report is
     path = tmp_path / "bench.csv"
-    code, _, _ = run(capsys, "bench-matmul", "--max-total", "16", "--csv", str(path))
+    code, out, _ = run(capsys, "bench-matmul", "--max-total", "16", "--csv", str(path))
     assert code == 0
-    lines = path.read_text().splitlines()
-    assert len(lines) > 5
+    assert len(out.splitlines()) > 5
+    assert path.read_text() == out
 
 
 @pytest.mark.parametrize("max_total", ["1", "0", "-5"])
@@ -216,11 +219,36 @@ def test_bench_matmul_has_no_seed_flag(capsys):
     assert "unrecognized arguments: --seed 1" in err
 
 
-def test_brute_subcommand(capsys):
+def test_brute_subcommand(tmp_path, capsys):
     code, out, _ = run(capsys, "brute", "--goal", "entangle2", "--max-gates", "3")
     assert code == 0
     data = json.loads(out)
     assert data["min_cost"] == 3
+    assert data["witness"] == [{"gate": "H", "top": 0}, {"gate": "CNOT", "top": 0}]
+    assert data["circuits_examined"] > 0
+    # SWAP needs cost 6, which no single gate reaches
+    path = tmp_path / "none.json"
+    code, out, _ = run(capsys, "brute", "--goal", "swap", "--max-gates", "1", "--out", str(path))
+    assert code == 0
+    assert path.read_text() == out
+    assert '"min_cost": null' in out and '"witness": null' in out
+    assert json.loads(out) == {"min_cost": None, "witness": None, "circuits_examined": 9}
+
+
+@pytest.mark.parametrize("name, max_gates", [("entangle2", 5), ("swap", 5), ("entangle3", 4)])
+def test_brute_witness_reads_back_as_a_circuit_at_the_min_cost(capsys, name, max_gates):
+    # the benchmark's brute queries that find a match: the report's witness
+    # entries are a circuit file's gates
+    code, out, _ = run(capsys, "brute", "--goal", name, "--max-gates", str(max_gates))
+    assert code == 0
+    data = json.loads(out)
+    goal = builtin(name)
+    circuit, m = circuit_from_json({"qubits": goal.num_qubits, "gates": data["witness"]},
+                                   default_gate_set())
+    fp = FitnessParams(satcost=data["min_cost"])
+    result = evaluate_circuit(circuit, goal, fp)
+    assert is_success(result, fp)
+    assert result.allcost == data["min_cost"]
 
 
 def test_brute_over_the_circuit_budget_exits_1_at_once(capsys):
@@ -269,20 +297,20 @@ def test_criterion_9_config_matches_pinned_outputs(tmp_path, capsys):
 REPORTS = Path(__file__).parent / "data" / "reports"
 
 
-@pytest.mark.parametrize("argv, flag, name, echoes", [
-    (("bench-matmul", "--max-total", "16"), "--csv", "bench-matmul.csv", False),
+@pytest.mark.parametrize("argv, flag, name", [
+    (("bench-matmul", "--max-total", "16"), "--csv", "bench-matmul.csv"),
     (("experiment", "--goal", "entangle2", "--satcost", "6", "--g", "6", "--max-gen", "30",
-      "--runs", "2", "--seed", "0"), "--csv", "experiment.csv", True),
-    (("brute", "--goal", "entangle2", "--max-gates", "3"), "--out", "brute.json", True),
+      "--runs", "2", "--seed", "0"), "--csv", "experiment.csv"),
+    (("brute", "--goal", "entangle2", "--max-gates", "3"), "--out", "brute.json"),
 ])
-def test_reports_match_pinned_bytes(tmp_path, capsys, argv, flag, name, echoes):
+def test_reports_match_pinned_bytes(tmp_path, capsys, argv, flag, name):
     # each report's stdout and file, recorded before the CLI became the one
-    # place that formats them; stdout repeats the file unless a file is asked for
+    # place that formats them; a report is printed whether or not a file is asked for
     pinned = (REPORTS / name).read_bytes()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.encode() == pinned
     code, out, _ = run(capsys, *argv, flag, str(tmp_path / name))
-    assert code == 0 and out.encode() == (pinned if echoes else b"")
+    assert code == 0 and out.encode() == pinned
     assert (tmp_path / name).read_bytes() == pinned
 
 
@@ -500,10 +528,25 @@ def test_file_missing_a_required_field_exits_1(tmp_path, capsys, argv, name, con
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out-dir", "out", "--goal-file"],
+    ["brute", "--goal", "swap", "--max-gates", "1", "--out", "out.json", "--gate-file"],
+    ["verify", "--goal", "swap", "--circuit"],
+    ["experiment", "--goal", "swap", "--runs", "1", "--csv", "out.csv", "--config"],
+], ids=["goal-file", "gate-file", "circuit", "config"])
+def test_a_missing_input_file_exits_1_naming_its_path(tmp_path, capsys, monkeypatch, argv):
+    # every input file is read by the one reader, before any output is written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "absent.json")
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "'absent.json'" in line
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_goal_file_with_a_negative_optimal_cost_exits_1(tmp_path, capsys):
     path = tmp_path / "goal.json"
-    save_goal(builtin("entangle2"), path)
-    data = json.loads(path.read_text())
+    data = goal_to_json(builtin("entangle2"))
     data["optimal_cost"] = -3
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "experiment", "--goal-file", str(path), "--satcost", "5",
@@ -516,8 +559,7 @@ def test_goal_file_with_a_negative_optimal_cost_exits_1(tmp_path, capsys):
 def test_goal_file_with_a_name_that_is_no_string_exits_1(tmp_path, capsys, name, shown):
     # an object name was formatted into the experiment row as {'a': 1}
     path = tmp_path / "goal.json"
-    save_goal(builtin("entangle2"), path)
-    data = json.loads(path.read_text())
+    data = goal_to_json(builtin("entangle2"))
     data["name"] = name
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "experiment", "--goal-file", str(path), "--runs", "1",
@@ -529,7 +571,7 @@ def test_goal_file_with_a_name_that_is_no_string_exits_1(tmp_path, capsys, name,
 def test_experiment_row_keeps_a_goal_name_in_one_field(tmp_path, capsys, name):
     # a comma in the name gave the row 11 fields under the 10-column header
     path, csv_path = tmp_path / "goal.json", tmp_path / "stats.csv"
-    save_goal(replace(builtin("entangle2"), name=name), path)
+    path.write_text(json.dumps(goal_to_json(replace(builtin("entangle2"), name=name))))
     code, out, _ = run(capsys, "experiment", "--goal-file", str(path), "--runs", "1",
                        "--max-gen", "1", "--csv", str(csv_path))
     assert code == 0
@@ -625,8 +667,7 @@ def test_goal_file_number_out_of_range_exits_1(tmp_path, capsys, monkeypatch, fi
                                               message):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "goal.json"
-    save_goal(builtin("entangle2"), path)
-    data = json.loads(path.read_text())
+    data = goal_to_json(builtin("entangle2"))
     data[field] = value
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, *argv, "--goal-file", str(path))

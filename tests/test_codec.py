@@ -1,5 +1,4 @@
-import tempfile
-from pathlib import Path
+import json
 
 import numpy as np
 import pytest
@@ -12,9 +11,7 @@ from oracle_forge.codec import (
     decode,
     decode_codon,
     decode_indices,
-    load_circuit,
     render_ascii,
-    save_circuit,
 )
 from oracle_forge.evaluate import circuit_unitary
 from oracle_forge.gates import (
@@ -188,10 +185,8 @@ def test_circuit_json_file_round_trip(data, m, g):
     table = gs.table(m)
     circuit = [table.cases[i] for i in data.draw(
         st.lists(st.integers(0, len(table) - 1), min_size=g, max_size=g))]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "circuit.json"
-        save_circuit(circuit, m, path)
-        rebuilt, m_back = load_circuit(path, gs)
+    # through the JSON text a circuit file holds
+    rebuilt, m_back = circuit_from_json(json.loads(json.dumps(circuit_to_json(circuit, m))), gs)
     gates = [p for p in circuit if not p.is_wire]
     assert m_back == m
     assert len(rebuilt) == len(gates) and all(a is b for a, b in zip(rebuilt, gates))

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -91,27 +89,23 @@ def test_gate_unitarity_enforced():
         Gate("near", np.diag([1 + 2e-9, 1]).astype(complex), 1)
 
 
-def test_extend_gate_set(tmp_path, gs):
+def test_extend_gate_set(gs):
     x = [[0, 1], [1, 0]]
     entries = [
         {"name": "X", "arity": 1, "cost": 1,
          "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
     ]
-    path = tmp_path / "gates.json"
-    path.write_text(json.dumps(entries))
-    ext = extend_gate_set(gs, path)
+    ext = extend_gate_set(gs, entries)
     assert len(ext.one_qubit) == 4
     assert case_count(2, ext) == 4 * 2 + 2 * 1 * 1 + 1
     assert np.array_equal(ext.placement("X", 0, 2).matrix, np.array(x, dtype=complex))
 
 
-def test_extend_gate_set_rejects_non_unitary(tmp_path, gs):
+def test_extend_gate_set_rejects_non_unitary(gs):
     entries = [{"name": "bad", "arity": 1, "cost": 1,
                 "matrix": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}]
-    path = tmp_path / "gates.json"
-    path.write_text(json.dumps(entries))
     with pytest.raises(ValueError):
-        extend_gate_set(gs, path)
+        extend_gate_set(gs, entries)
 
 
 def test_two_qubit_orientations_both_enumerated(gs):
@@ -120,15 +114,12 @@ def test_two_qubit_orientations_both_enumerated(gs):
     assert names == [("CNOT", 0), ("CNOT2", 0), ("CNOT", 1), ("CNOT2", 1)]
 
 
-def _gate_file(tmp_path, *entries):
+def _gate_entries(*entries):
     x1 = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
     swap = [[[1 if (r, c) in ((0, 0), (1, 2), (2, 1), (3, 3)) else 0, 0] for c in range(4)]
             for r in range(4)]
-    path = tmp_path / "gates.json"
-    path.write_text(json.dumps([{"name": name, "arity": arity, "cost": 1,
-                                 "matrix": x1 if arity == 1 else swap}
-                                for name, arity in entries]))
-    return path
+    return [{"name": name, "arity": arity, "cost": 1, "matrix": x1 if arity == 1 else swap}
+            for name, arity in entries]
 
 
 @pytest.mark.parametrize("entries,clash", [
@@ -139,13 +130,13 @@ def _gate_file(tmp_path, *entries):
     ((("CNOT2", 1),), "'CNOT2'"),       # the built-in family's flipped name
     ((("wire", 1),), "'wire'"),         # reserved for the no-op placement
 ])
-def test_extend_gate_set_rejects_name_clashes(tmp_path, gs, entries, clash):
+def test_extend_gate_set_rejects_name_clashes(gs, entries, clash):
     with pytest.raises(ValueError, match=clash):
-        extend_gate_set(gs, _gate_file(tmp_path, *entries))
+        extend_gate_set(gs, _gate_entries(*entries))
 
 
-def test_placements_are_unique_by_name_and_top(tmp_path, gs):
-    ext = extend_gate_set(gs, _gate_file(tmp_path, ("X", 1), ("W", 2)))
+def test_placements_are_unique_by_name_and_top(gs):
+    ext = extend_gate_set(gs, _gate_entries(("X", 1), ("W", 2)))
     table = ext.table(3)
     assert len(table.index) == len(table) == case_count(3, ext)
     for i, p in enumerate(table.cases):
@@ -180,20 +171,16 @@ def test_default_gate_set_builds_no_table():
 @pytest.mark.parametrize("field,value", [
     ("cost", 1.9), ("cost", True), ("cost", "1"), ("arity", 1.4), ("arity", None),
 ])
-def test_extend_gate_set_rejects_a_non_whole_cost_or_arity(tmp_path, gs, field, value):
+def test_extend_gate_set_rejects_a_non_whole_cost_or_arity(gs, field, value):
     entry = {"name": "X", "arity": 1, "cost": 1, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
-    path = tmp_path / "gates.json"
-    path.write_text(json.dumps([{**entry, field: value}]))
     with pytest.raises(ValueError, match=f"^gate 'X': {field} must be a whole number, got "):
-        extend_gate_set(gs, path)
+        extend_gate_set(gs, [{**entry, field: value}])
 
 
-def test_extend_gate_set_takes_a_whole_float_cost(tmp_path, gs):
+def test_extend_gate_set_takes_a_whole_float_cost(gs):
     entry = {"name": "X", "arity": 1.0, "cost": 3.0,
              "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
-    path = tmp_path / "gates.json"
-    path.write_text(json.dumps([entry]))
-    cost = extend_gate_set(gs, path).placement("X", 0, 1).cost
+    cost = extend_gate_set(gs, [entry]).placement("X", 0, 1).cost
     assert cost == 3 and type(cost) is int
 
 
@@ -202,11 +189,9 @@ def test_extend_gate_set_takes_a_whole_float_cost(tmp_path, gs):
     [[[1, 0], [0, 0]], [[0, 0]]], [[[1, "0"], [0, 0]], [[0, 0], [1, 0]]],
     [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
 ])
-def test_extend_gate_set_rejects_a_matrix_that_is_not_rows_of_pairs(tmp_path, gs, matrix):
-    path = tmp_path / "gates.json"
-    path.write_text(json.dumps([{"name": "X", "arity": 1, "cost": 1, "matrix": matrix}]))
+def test_extend_gate_set_rejects_a_matrix_that_is_not_rows_of_pairs(gs, matrix):
     with pytest.raises(ValueError, match="^gate 'X': matrix must be a list of equally long rows "):
-        extend_gate_set(gs, path)
+        extend_gate_set(gs, [{"name": "X", "arity": 1, "cost": 1, "matrix": matrix}])
 
 
 @pytest.mark.parametrize("entries,message", [
@@ -214,8 +199,6 @@ def test_extend_gate_set_rejects_a_matrix_that_is_not_rows_of_pairs(tmp_path, gs
     ([[1]], "gate entry 0 must be a JSON object, got a list"),
     ([{"name": 3, "arity": 1, "cost": 1, "matrix": []}], "gate entry 0: name must be a string, got 3"),
 ])
-def test_extend_gate_set_rejects_a_file_of_the_wrong_shape(tmp_path, gs, entries, message):
-    path = tmp_path / "gates.json"
-    path.write_text(json.dumps(entries))
+def test_extend_gate_set_rejects_a_file_of_the_wrong_shape(gs, entries, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        extend_gate_set(gs, path)
+        extend_gate_set(gs, entries)

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from oracle_forge.evaluate import correctness, circuit_unitary
 from oracle_forge.gates import default_gate_set
 from oracle_forge.linalg import identity, is_unitary
-from oracle_forge.targets import BUILTIN_NAMES, builtin, load_goal, save_goal
+from oracle_forge.targets import BUILTIN_NAMES, builtin, goal_from_json, goal_to_json
 
 
 def test_builtin_names():
@@ -59,63 +61,49 @@ def test_reference_circuits_reproduce_goals():
         assert correctness(lam, goal) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_save_load_round_trip(tmp_path):
+def test_save_load_round_trip():
     goal = builtin("entangle3")
-    path = tmp_path / "goal.json"
-    save_goal(goal, path)
-    back = load_goal(path)
+    back = goal_from_json(json.loads(json.dumps(goal_to_json(goal))))
     assert back.num_qubits == 3
     assert back.optimal_cost == 5
     assert np.abs(back.matrix - goal.matrix).max() <= 1e-15
 
 
-def test_load_rejects_non_unitary(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"qubits": 1, "matrix": [[[1,0],[0,0]],[[0,0],[2,0]]]}')
+def test_load_rejects_non_unitary():
     with pytest.raises(ValueError, match="not unitary"):
-        load_goal(path)
+        goal_from_json({"qubits": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]})
 
 
-def test_goal_file_off_by_2e9_gets_the_unified_error(tmp_path):
+def test_goal_file_off_by_2e9_gets_the_unified_error():
     # within the old 1e-8 file tolerance, but not the 1e-10 every matrix is held to
-    path = tmp_path / "near.json"
-    path.write_text('{"qubits": 1, "matrix": [[[1.000000002,0],[0,0]],[[0,0],[1,0]]]}')
     with pytest.raises(ValueError) as err:
-        load_goal(path)
+        goal_from_json({"qubits": 1, "matrix": [[[1.000000002, 0], [0, 0]], [[0, 0], [1, 0]]]})
     assert str(err.value) == ("goal matrix is not unitary: max |U^dag U - I| = 4.000e-09, "
                               "over the tolerance 1e-10")
 
 
-def test_load_rejects_wrong_dimension(tmp_path):
-    path = tmp_path / "bad.json"
+def test_load_rejects_wrong_dimension():
     rows = [[[1, 0], [0, 0], [0, 0]],
             [[0, 0], [1, 0], [0, 0]],
             [[0, 0], [0, 0], [1, 0]]]
-    import json
-    path.write_text(json.dumps({"qubits": 2, "matrix": rows}))
     with pytest.raises(ValueError):
-        load_goal(path)
+        goal_from_json({"qubits": 2, "matrix": rows})
 
 
-def test_save_load_identity_goal(tmp_path):
+def test_save_load_identity_goal():
     from oracle_forge.evaluate import GoalSpec
     goal = GoalSpec(2, identity(4), name="identity")
-    path = tmp_path / "id.json"
-    save_goal(goal, path)
-    back = load_goal(path)
+    back = goal_from_json(json.loads(json.dumps(goal_to_json(goal))))
     assert np.array_equal(back.matrix, identity(4))
     assert back.optimal_cost is None
 
 
 @pytest.mark.parametrize("field,value", [("optimal_cost", 1.9), ("optimal_cost", False),
                                          ("qubits", 1.5), ("qubits", "1")])
-def test_load_rejects_a_non_whole_qubit_count_or_optimal_cost(tmp_path, field, value):
-    import json
-    path = tmp_path / "goal.json"
+def test_load_rejects_a_non_whole_qubit_count_or_optimal_cost(field, value):
     data = {"qubits": 1, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], field: value}
-    path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"^goal {field} must be a whole number, got "):
-        load_goal(path)
+        goal_from_json(data)
 
 
 @pytest.mark.parametrize("data,message", [
@@ -124,10 +112,7 @@ def test_load_rejects_a_non_whole_qubit_count_or_optimal_cost(tmp_path, field, v
     ({"matrix": [[1, 0], [0, 1]]}, "goal matrix must be a list of equally long rows of "
                                    "[re, im] number pairs"),
 ])
-def test_load_rejects_a_goal_file_of_the_wrong_shape(tmp_path, data, message):
-    import json
-    path = tmp_path / "goal.json"
-    path.write_text(json.dumps(data))
+def test_load_rejects_a_goal_file_of_the_wrong_shape(data, message):
     with pytest.raises(ValueError) as exc:
-        load_goal(path)
+        goal_from_json(data)
     assert str(exc.value) == message
