@@ -1,4 +1,5 @@
 """The exhaustive verifier, and its blocked search against the plain recursive DFS."""
+import json
 import math
 from unittest import mock
 
@@ -75,6 +76,16 @@ def test_no_match_returns_none(gs):
     # SWAP needs cost 6; a single gate can never realize it
     report = min_cost_search(builtin("swap"), 1, gs)
     assert report.min_cost is None and report.witness is None
+
+
+def test_report_json(capsys):
+    # the report is built by the brute subcommand; its witness entries are codec's
+    code = cli_main(["brute", "--goal", "entangle2", "--max-gates", "3"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["min_cost"] == 3
+    assert data["witness"] == [{"gate": "H", "top": 0}, {"gate": "CNOT", "top": 0}]
+    assert data["circuits_examined"] > 0
 
 
 def test_ea_never_beats_brute_force(gs):
