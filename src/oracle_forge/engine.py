@@ -17,10 +17,10 @@ kept); this catastrophe step stops the whole population from idling in an
 exhausted attractor.
 
 A generation is scored as one batch: all pop x measurements bit strings
-are decoded at once, each row of placement indices is keyed by its bytes
-as drawn, and each distinct row of the generation is scored once, in one
-`evaluate_batch` call that returns score arrays.  No score outlives its
-generation.
+are decoded at once, each row of placement indices is keyed by its exact
+base-N number (see `distinct_rows`), and each distinct row of the
+generation is scored once, in one `evaluate_batch` call that returns score
+arrays.  No score outlives its generation.
 """
 from __future__ import annotations
 
@@ -108,6 +108,35 @@ def rotate_toward(theta: np.ndarray, bits: np.ndarray, delta: float) -> np.ndarr
     return np.clip(theta + step, THETA_MIN, THETA_MAX)
 
 
+def distinct_rows(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct row of `rows`, and each row's distinct index.
+
+    Rows of digits in [0, n) are keyed by their base-n numbers, exact in
+    int64 for every n and row length: a row is folded in a word of c digits
+    at a time, and before each later word the key is replaced by its dense
+    rank, which is below the row count B, so with B * n^c < 2^63 no key
+    wraps.  The distinct rows come in key order, which is the rows'
+    lexicographic order.
+    """
+    b, g = rows.shape
+    c = 1  # digits a word: the most, up to g, with b * n^c < 2^63
+    while c < g and b * n ** (c + 1) < 1 << 63:
+        c += 1
+    place = n ** np.arange(c - 1, -1, -1, dtype=np.int64)
+    rank = np.zeros(b, dtype=np.int64)
+    new = np.empty(b, dtype=bool)
+    new[:1] = True
+    for start in range(0, g, c):
+        word = rows[:, start:start + c]
+        key = rank * n ** word.shape[1] + word @ place[c - word.shape[1]:]
+        # a stable sort, so that each key's first row comes first
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        rank[order] = np.cumsum(new) - 1
+    return order[new], rank
+
+
 def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> RunResult:
     """Run the evolutionary loop until a satisfying circuit or max_gen generations."""
     if max_gates < 1:
@@ -136,8 +165,7 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
         flips = rng.random(shape) < params.mutation_prob
         bits = ((u < (np.sin(pop) ** 2)[:, None, :]) ^ flips).astype(np.uint8).reshape(-1, n_bits)
         rows = decode_indices(bits, len(table))
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, first_row, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first_row, inverse = distinct_rows(rows, len(table))
         ufit, ucorr, ucost = evaluate_batch(rows[first_row], table, goal, params.fitness)
         fitness = ufit[inverse].reshape(shape[:2])
 

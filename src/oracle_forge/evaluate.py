@@ -33,9 +33,10 @@ from .kron_apply import apply_block_step, apply_structured
 from .linalg import identity, require_unitary
 
 # working-set budget of both kernels: the row-sparse one scores its rows this
-# many bytes of lambda matrices at a time, and its prefix table holds at most
-# this many; the block one scatters its heads into a stack of this many bytes
-# of matrices, and sizes its head chunk so that its slot arrays fit in it
+# many bytes of lambda matrices at a time, and its prefix table, read by one
+# gather per chunk, holds at most eight times this many; the block one
+# scatters its heads into a stack of this many bytes of matrices, and sizes
+# its head chunk so that its slot arrays fit in it
 CHUNK_BYTES = 1 << 18
 # evaluate_batch builds lambdas of this dimension and up with the block
 # kernel and smaller ones with the row-sparse kernel.  Measured crossover, as
@@ -249,18 +250,20 @@ class RowSparseScratch:
     allocated once, and a chunk writes each part it reads first.
 
     `prefixes[k]` is the lambda of the `depth` placement indices whose digits
-    in base N (the table's length) are k, wires included, built with
-    `apply_positions` itself so that each entry is the lambda the kernel
-    would build for that prefix.  `depth` is the largest whose N^depth
-    matrices fit in CHUNK_BYTES: 6, 3, 2 and 1 for the default gates on one
-    to four qubits, and 0 (the identity alone) from 32 x 32 up.
+    in base N (the table's length) are k, wires included, built a chunk at
+    a time with `apply_positions` itself so that each entry is the lambda
+    the kernel would build for that prefix.  `depth` is the largest whose
+    N^depth matrices fit in 8 x CHUNK_BYTES: 7, 4, 2 and 2 for the default
+    gates on one to four qubits, and 0 (the identity alone) from 128 x 128
+    up.
 
-    `lams`, `weights` and `prefixes` are at most CHUNK_BYTES or one matrix
-    each, and `reads` and `first` half that, so a scratch keeps at most
-    6 x CHUNK_BYTES (1.5 MiB) plus the w x N matrices of `spread`: 1.3 to
-    1.5 MiB in all for the default gates on one to four qubits.  The kernel
-    keeps one on each placement table it scores (see `kernel_scratch`).  It
-    is not for concurrent use.
+    Each of the three stacks of `lams` and `weights` is at most CHUNK_BYTES
+    or one matrix, `reads` and `first` half that, and `prefixes` at most
+    8 x CHUNK_BYTES or one matrix, so a scratch keeps at most
+    13 x CHUNK_BYTES (3.25 MiB) plus the w x N matrices of `spread`: 1.3 to
+    2.7 MiB in all for the default gates on one to four qubits (2.7 on two,
+    where the table is 1.6 MiB).  The kernel keeps one on each placement
+    table it scores (see `kernel_scratch`).  It is not for concurrent use.
     """
 
     def __init__(self, table: PlacementTable):
@@ -274,11 +277,14 @@ class RowSparseScratch:
             self.chunk, dim, width)
         self.spread = np.repeat(np.moveaxis(table.vals, 2, 0)[..., None], dim, axis=3)
         self.depth = 0
-        while n > 1 and n ** (self.depth + 1) * matrix <= CHUNK_BYTES:  # n = 1: the wire alone
+        while n > 1 and n ** (self.depth + 1) * matrix <= 8 * CHUNK_BYTES:  # n = 1: the wire alone
             self.depth += 1
         sequences = np.indices((n,) * self.depth).reshape(self.depth, n ** self.depth).T
-        self.lams[0, :len(sequences)] = identity(dim)
-        self.prefixes = apply_positions(sequences, table, self).copy()
+        self.prefixes = np.empty((len(sequences), dim, dim), dtype=complex)
+        for start in range(0, len(sequences), self.chunk):
+            part = sequences[start:start + self.chunk]
+            self.lams[0, :len(part)] = identity(dim)
+            self.prefixes[start:start + len(part)] = apply_positions(part, table, self)
 
 
 def kernel_scratch(kind: type, table: PlacementTable):

@@ -396,34 +396,58 @@ def test_block_kernel_rejects_an_index_outside_the_table(gate_sets, bad_index):
         evaluate_batch(rows, table, GoalSpec(5, np.eye(32)), FitnessParams(satcost=2))
 
 
+def prefix_lambdas(table, m, depth):
+    """The lambdas of every prefix of 0 to `depth` placement indices, one stack per length.
+
+    Entry k of the stack of length h is the prefix whose base-N digits are k,
+    built from its parent, entry k // N of the stack of length h - 1, with
+    one structured product as `circuit_unitary` applies it, so it equals
+    `circuit_unitary` of the prefix bit for bit.
+    """
+    ops = [None if p.is_wire else placement_operator(p, m) for p in table.cases]
+    levels = [identity(1 << m)[None]]
+    for _ in range(depth):
+        levels.append(np.stack([parent if op is None else apply_structured(op, parent)
+                                for parent in levels[-1] for op in ops]))
+    return levels
+
+
 @pytest.mark.parametrize("m", range(1, 5))
 def test_prefix_table_holds_each_prefix_lambda_exactly(gate_sets, m):
     dim = 1 << m
     matrix = 16 * dim * dim
+    budget = 8 * evaluate.CHUNK_BYTES
     rng = np.random.default_rng(m)
-    for gs, default_depth in zip(gate_sets, ([6, 3, 2, 1][m - 1], None)):
+    for gs, default_depth in zip(gate_sets, ([7, 4, 2, 2][m - 1], None)):
         table = gs.table(m)
         n = len(table)
         scratch = evaluate.kernel_scratch(evaluate.RowSparseScratch, table)
         h = scratch.depth
-        # the deepest whose N^h matrices fit in the chunk budget
-        assert n ** h * matrix <= evaluate.CHUNK_BYTES < n ** (h + 1) * matrix
+        # the deepest whose N^h matrices fit in the table's budget
+        assert n ** h * matrix <= budget < n ** (h + 1) * matrix
         assert default_depth in (None, h)
         assert scratch.prefixes.shape == (n ** h, dim, dim)
+        assert scratch.prefixes.nbytes <= budget
         # entry k is the prefix whose base-N digits are k, wires included;
         # float views compare real and imaginary parts (zeros up to sign)
-        for k, prefix in enumerate(np.indices((n,) * h).reshape(h, -1).T):
+        levels = prefix_lambdas(table, m, h)
+        assert np.array_equal(scratch.prefixes.view(float), levels[h].view(float))
+        for k in (0, n ** h // 2, n ** h - 1):
+            prefix = np.unravel_index(k, (n,) * h)
             ref = circuit_unitary([table.cases[i] for i in prefix], m)
-            assert np.array_equal(scratch.prefixes[k].view(float), ref.view(float))
+            assert np.array_equal(levels[h][k].view(float), ref.view(float))
         # rows shorter than the prefix pad it with wires
         for g in range(1, h):
             rows = np.vstack([rng.integers(0, n, (5, g)), np.zeros((1, g), dtype=np.int64)])
             refs = [evaluate_circuit([table.cases[i] for i in row], GOALS[m], FP) for row in rows]
             assert_scores_equal(evaluate_batch(rows, table, GOALS[m], FP), refs)
-        # a new budget gets a new scratch
+        # a new budget gets a new scratch, whose table of 16 matrices is
+        # built two matrices at a time
         with mock.patch.object(evaluate, "CHUNK_BYTES", 2 * matrix):
             small_scratch = evaluate.kernel_scratch(evaluate.RowSparseScratch, table)
-            assert (small_scratch.chunk, small_scratch.depth) == (2, 0)
+            small = small_scratch.depth
+            assert small_scratch.chunk == 2 and n ** small <= 16 < n ** (small + 1)
+            assert np.array_equal(small_scratch.prefixes.view(float), levels[small].view(float))
         assert evaluate.kernel_scratch(evaluate.RowSparseScratch, table).depth == h
 
 
@@ -466,17 +490,20 @@ def test_kernel_buffers_carry_nothing_from_call_to_call(gate_sets):
 
 
 def test_repeated_batch_allocates_no_chunk_sized_array():
-    table = default_gate_set().table(3)
-    rows = np.random.default_rng(13).integers(0, len(table), (200, 8))
-    evaluate_batch(rows, table, GOALS[3], FP)  # builds the prefix table and the buffers
-    tracemalloc.start()
-    try:
-        evaluate_batch(rows, table, GOALS[3], FP)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # a chunk of 200 8x8 matrices is 200 KiB
-    assert peak < 64 * 1024
+    # two qubits hold the largest prefix table of the row-sparse kernel's
+    # workloads, three the largest chunk of matrices
+    for m in (2, 3):
+        table = default_gate_set().table(m)
+        rows = np.random.default_rng(13).integers(0, len(table), (200, 8))
+        evaluate_batch(rows, table, GOALS[m], FP)  # builds the prefix table and the buffers
+        tracemalloc.start()
+        try:
+            evaluate_batch(rows, table, GOALS[m], FP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a chunk of 200 matrices is 200 KiB at 8x8 and 50 KiB at 4x4
+        assert peak < 32 * 1024
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8])
@@ -563,6 +590,7 @@ def small(seed, **kw):
     ("entangle2", 4, 3, True),
     ("entangle3", 5, 1, False),
     ("controlled_s", 3, 2, True),
+    ("controlled_s", 20, 5, False),  # rows past one int64 key word
     ("random5", 4, 4, True),  # 32x32: the block kernel
     ("random6", 5, 6, False),  # 64x64
 ])
@@ -574,6 +602,10 @@ def test_evolve_matches_scalar_loop(gate_sets, monkeypatch, goal_name, g, seed, 
     gs = gate_sets[extended]
     goal = GOALS[int(goal_name[-1])] if goal_name.startswith("random") else builtin(goal_name)
     params = small(seed)
+    if g > 8:
+        # rows this long are drawn twice in a generation only once the
+        # population converges, which takes fewer restarts
+        params = dataclasses.replace(params, max_gen=60, restart_after=40)
     result = evolve(goal, gs, g, params)
     history, best_bits, best_eval = scalar_evolve(goal, gs, g, params)
     assert result.history == history
@@ -600,18 +632,23 @@ def test_each_generation_scores_each_distinct_drawn_row_once(monkeypatch):
 
     monkeypatch.setattr(engine, "decode_indices", decode_spy)
     monkeypatch.setattr(engine, "evaluate_batch", batch_spy)
-    result = evolve(goal, gs, 6, params)
-    assert len(drawn) == len(scored) == result.generations_run == params.max_gen
-    merged = 0
-    for rows, batch in zip(drawn, scored):
-        batch_rows = [tuple(row) for row in batch.tolist()]
-        # each distinct row as drawn, wires in place, once
-        assert sorted(batch_rows) == sorted({tuple(row) for row in rows.tolist()})
-        merged += len(rows) - len(batch)
-    assert merged > 0  # some generations drew equal rows
-    # the scores are Python numbers, so the history prints as the scalar path's does
-    assert all(type(fit) is float and type(corr) is float and type(cost) is int
-               for _, fit, corr, cost in result.history)
+    # rows of 20 placements of 9 are past one int64 key word (9^20 > 2^63)
+    for g in (6, 20):
+        drawn.clear()
+        scored.clear()
+        result = evolve(goal, gs, g, params)
+        assert len(drawn) == len(scored) == result.generations_run == params.max_gen
+        merged = 0
+        for rows, batch in zip(drawn, scored):
+            # each distinct row as drawn, wires in place, once, in the order
+            # of the rows' base-N keys, which is their lexicographic order
+            distinct = sorted({tuple(row) for row in rows.tolist()})
+            assert [tuple(row) for row in batch.tolist()] == distinct
+            merged += len(rows) - len(batch)
+        assert merged > 0  # some generations drew equal rows
+        # the scores are Python numbers, so the history prints as the scalar path's does
+        assert all(type(fit) is float and type(corr) is float and type(cost) is int
+                   for _, fit, corr, cost in result.history)
 
 
 def test_decode_indices_rows_match_scalar_decode():

@@ -296,16 +296,26 @@ REPORTS = Path(__file__).parent / "data" / "reports"
     (("experiment", "--goal", "entangle2", "--satcost", "6", "--g", "6", "--max-gen", "30",
       "--runs", "2", "--seed", "0"), "--csv", "experiment.csv"),
     (("brute", "--goal", "entangle2", "--max-gates", "3"), "--out", "brute.json"),
+    # rows of 20 placements of 9, past one int64 word of the engine's row keys
+    (("synth", "--goal", "controlled_s", "--g", "20", "--max-gen", "40", "--seed", "1"),
+     "--out-dir", "synth-g20"),
 ])
-def test_reports_match_pinned_bytes(tmp_path, capsys, argv, flag, name):
+def test_reports_match_pinned_bytes(tmp_path, capsys, monkeypatch, argv, flag, name):
     # each report's stdout and file, recorded before the CLI became the one
-    # place that formats them; a report is printed whether or not a file is asked for
-    pinned = (REPORTS / name).read_bytes()
+    # place that formats them; a report is printed whether or not a file is
+    # asked for.  A synth run's pin is a directory of what it prints and the
+    # generations.csv it writes into --out-dir (the working directory by
+    # default), recorded before the engine keyed rows by integers; it exits 2
+    # when no circuit meets the goal
+    monkeypatch.chdir(tmp_path)
+    pin = REPORTS / name
+    written, exit_code = ("generations.csv", 2) if pin.is_dir() else ("", 0)
+    printed = (pin / "stdout.txt" if written else pin).read_bytes()
     code, out, _ = run(capsys, *argv)
-    assert code == 0 and out.encode() == pinned
-    code, out, _ = run(capsys, *argv, flag, str(tmp_path / name))
-    assert code == 0 and out.encode() == pinned
-    assert (tmp_path / name).read_bytes() == pinned
+    assert code == exit_code and out.encode() == printed
+    code, out, _ = run(capsys, *argv, flag, name)
+    assert code == exit_code and out.encode() == printed
+    assert (tmp_path / name / written).read_bytes() == (pin / written).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["synth", "experiment"])
