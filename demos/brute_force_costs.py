@@ -13,7 +13,7 @@ The demo raises if a search finds another minimum, so a run that
 completes has confirmed each of them.
 """
 from oracle_forge.brute import min_cost_search
-from oracle_forge.codec import render_ascii
+from oracle_forge.cli import render_ascii
 from oracle_forge.gates import default_gate_set
 from oracle_forge.targets import builtin
 

@@ -5,7 +5,7 @@ The search only ever sees the 4x4 matrix; it discovers the H-then-CNOT
 structure (or an equivalent) on its own, typically in about a dozen
 generations.
 """
-from oracle_forge.codec import render_ascii
+from oracle_forge.cli import render_ascii
 from oracle_forge.engine import HqeaParams, evolve
 from oracle_forge.evaluate import FitnessParams
 from oracle_forge.gates import default_gate_set

@@ -3,15 +3,7 @@ quantum-inspired evolutionary search, with a Kronecker-structured fast
 multiplication kernel on the evaluation hot path."""
 
 from .brute import SearchReport, min_cost_search
-from .codec import (
-    circuit_from_json,
-    circuit_to_json,
-    codon_bits,
-    decode,
-    decode_codon,
-    decode_indices,
-    render_ascii,
-)
+from .codec import codon_bits, decode, decode_codon, decode_indices
 from .engine import (
     BatchStats,
     HqeaParams,
@@ -41,7 +33,6 @@ from .gates import (
     PlacementTable,
     case_count,
     default_gate_set,
-    extend_gate_set,
 )
 from .kron_apply import (
     StructuredOperator,
@@ -50,6 +41,6 @@ from .kron_apply import (
     speedup_predicted,
 )
 from .linalg import MulCounter, is_unitary, kron, mat_mul_naive
-from .targets import BUILTIN_NAMES, builtin, goal_from_json, goal_to_json
+from .targets import BUILTIN_NAMES, builtin
 
 __version__ = "0.1.0"

@@ -5,9 +5,12 @@ ST/AS/OT statistics), verify (score a saved circuit against a goal),
 bench-matmul (structured-kernel operation counts) and brute (exhaustive
 minimal-cost search).
 
-Only this module opens files: `read_json` reads every input file and
-`write_text` writes every output file, and the library converts JSON values.
-Every report is printed, and its --csv or --out flag also writes it to a file.
+This module is the program's one boundary: it opens every file
+(`read_json` reads every input file, `write_text` writes every output file)
+and converts every JSON value and text form: the whole-number rule, the
+[re, im] matrix form, the gate-file, goal-file and circuit-file shapes and
+the circuit drawing.  The library takes and returns only objects.  Every
+report is printed, and its --csv or --out flag also writes it to a file.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 evolution
 finished max_gen without a satisfying circuit.  Values resolve as
@@ -26,12 +29,13 @@ import os
 import sys
 from dataclasses import astuple, fields, replace
 
+import numpy as np
+
 from . import targets
 from .brute import min_cost_search
-from .codec import circuit_from_json, circuit_to_json, render_ascii
 from .engine import HqeaParams, evolve, run_batch
-from .evaluate import FitnessParams, evaluate_circuit, is_success
-from .gates import default_gate_set, extend_gate_set, json_object, whole_number
+from .evaluate import FitnessParams, GoalSpec, allcost, evaluate_circuit, is_success
+from .gates import Gate, GateSet, Placement, default_gate_set, require_qubits
 from .kron_apply import BenchRow, benchmark_sweep
 
 
@@ -45,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def whole(text: str) -> int:
-    """An integer flag's value, read by the file rule (`gates.whole_number`):
+    """An integer flag's value, read by the file rule (`whole_number`):
     2, 2.0 and 1e1 are whole numbers, 1.5 and inf are not."""
     try:
         return int(text)
@@ -74,7 +78,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def add_goal_flags(p):
         p.add_argument("--goal", help=f"built-in goal: {', '.join(targets.BUILTIN_NAMES)}")
-        p.add_argument("--goal-file", help="JSON goal file (see targets.goal_to_json)")
+        p.add_argument("--goal-file", help="JSON goal file (see oracle_forge.cli.goal_to_json)")
         p.add_argument("--gate-file", help="JSON file of extra gates to add to the catalog")
 
     def add_run_flags(p):
@@ -135,10 +139,9 @@ def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
 
     Other keys are ignored.
     """
-    cfg = json_object(read_json(path), "a config file")
+    cfg = json_present(json_object(read_json(path), "a config file"))
     flags = {a.dest: a.type for a in command._actions if a.option_strings and a.nargs is None}
-    return {key: _config_value(key, val, flags[key]) for key, val in cfg.items()
-            if key in flags and val is not None}
+    return {key: _config_value(key, val, flags[key]) for key, val in cfg.items() if key in flags}
 
 
 def _config_value(key: str, val, kind):
@@ -180,11 +183,189 @@ def csv_text(rows) -> str:
     return out.getvalue()
 
 
+def whole_number(value, what: str) -> int:
+    """A file value that must be a whole number (2 or 2.0, not 1.9, a bool or a string)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return value
+
+
+def _shown(value) -> str:
+    """A JSON value for an error message: containers by kind, scalars as written."""
+    return "an object" if isinstance(value, dict) else "a list" if isinstance(value, list) \
+        else repr(value)
+
+
+def json_object(value, what: str) -> dict:
+    """A file value that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {_shown(value)}")
+    return value
+
+
+def json_fields(obj: dict, what: str, *keys: str) -> list:
+    """The values of required fields of a file object, in the order named."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r} field")
+    return [obj[key] for key in keys]
+
+
+def json_present(obj: dict) -> dict:
+    """The fields of a file object that are not null: a null field reads as absent."""
+    return {key: value for key, value in obj.items() if value is not None}
+
+
+def json_list(value, what: str) -> list:
+    """A file value that must be a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {_shown(value)}")
+    return value
+
+
+def _is_pair(z) -> bool:
+    """True for an [re, im] pair of JSON numbers."""
+    return isinstance(z, list) and len(z) == 2 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)
+
+
+def json_matrix(value, what: str) -> np.ndarray:
+    """A file matrix: equally long rows of [re, im] number pairs."""
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and len(row) == len(value[0]) and all(map(_is_pair, row))
+            for row in value):
+        raise ValueError(f"{what} must be a list of equally long rows of [re, im] number pairs")
+    return np.array([[complex(re, im) for (re, im) in row] for row in value], dtype=complex)
+
+
+def extend_gate_set(gs: GateSet, entries) -> GateSet:
+    """Append user gates from a gate file's JSON list of {name, arity, cost, matrix} entries.
+
+    Matrices are given as nested [re, im] pairs and validated for
+    unitarity on load.  Two-qubit entries are treated as families and
+    contribute both orientations.
+    """
+    one = list(gs.one_qubit)
+    two = list(gs.two_qubit)
+    for i, e in enumerate(json_list(entries, "a gate file")):
+        what = f"gate entry {i}"
+        name, arity, cost, matrix = json_fields(json_object(e, what), what,
+                                                "name", "arity", "cost", "matrix")
+        if not isinstance(name, str):
+            raise ValueError(f"{what}: name must be a string, got {name!r}")
+        g = Gate(name, json_matrix(matrix, f"gate {name!r}: matrix"),
+                 whole_number(cost, f"gate {name!r}: cost"))
+        if g.arity != whole_number(arity, f"gate {name!r}: arity"):
+            raise ValueError(f"gate {name!r}: declared arity {arity} does not match matrix size")
+        (one if g.arity == 1 else two).append(g)
+    return GateSet(one_qubit=tuple(one), two_qubit=tuple(two))
+
+
+def goal_to_json(goal: GoalSpec) -> dict:
+    """Exportable form: the qubit count, the matrix as [re, im] pairs, and the
+    optimal cost and name when the goal has them."""
+    data = {
+        "qubits": goal.num_qubits,
+        "matrix": [[[z.real, z.imag] for z in row] for row in goal.matrix],
+    }
+    if goal.optimal_cost is not None:
+        data["optimal_cost"] = goal.optimal_cost
+    if goal.name:
+        data["name"] = goal.name
+    return data
+
+
+def goal_from_json(data) -> GoalSpec:
+    """Rebuild a goal from the JSON form; `GoalSpec` rejects non-unitary or non-2^m matrices."""
+    data = json_present(json_object(data, "a goal file"))
+    mat = json_matrix(*json_fields(data, "a goal file", "matrix"), "goal matrix")
+    m = whole_number(data.get("qubits", len(mat).bit_length() - 1), "goal qubits")
+    opt = data.get("optimal_cost")
+    if opt is not None:
+        opt = whole_number(opt, "goal optimal_cost")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"goal name must be a string, got {name!r}")
+    return GoalSpec(m, mat, optimal_cost=opt, name=name)
+
+
+def circuit_to_json(circuit, m: int) -> dict:
+    """Exportable form: non-wire gates in time order plus the derived cost."""
+    return {
+        "qubits": m,
+        "gates": [{"gate": p.name, "top": p.top} for p in circuit if not p.is_wire],
+        "cost": allcost(circuit),
+    }
+
+
+def circuit_from_json(data: dict, gs: GateSet) -> tuple[list[Placement], int]:
+    """Rebuild (circuit, qubit count) from the JSON form."""
+    qubits, gates = json_fields(json_object(data, "a circuit file"), "a circuit file",
+                                "qubits", "gates")
+    m = whole_number(qubits, "circuit qubits")
+    require_qubits(m, "circuit qubits")
+    circuit = []
+    for i, e in enumerate(json_list(gates, "circuit gates")):
+        what = f"circuit gate {i}"
+        name, top = json_fields(json_object(e, what), what, "gate", "top")
+        if not isinstance(name, str):
+            raise ValueError(f"{what}: gate must be a name, got {name!r}")
+        circuit.append(gs.placement(name, whole_number(top, f"gate {name!r}: top"), m))
+    return circuit, m
+
+
+# (control wire, its idle basis states, its active ones) of a two-qubit
+# matrix: the upper wire is the more significant bit of the basis index
+_CONTROLS = ((0, [0, 1], [2, 3]), (1, [0, 2], [1, 3]))
+_X = np.array([[0, 1], [1, 0]])
+
+
+def _cells(p: Placement) -> dict:
+    """The drawn cell of each wire a non-wire placement acts on.
+
+    A two-qubit matrix that is the identity on the basis states where one of
+    its wires is 0 is controlled by that wire, drawn `o`; its target is drawn
+    `(+)` when the controlled gate is X.  The first wire that qualifies is
+    the control, so a symmetric one (CZ) draws it on the upper wire.
+    """
+    if p.span == 1:
+        return {p.top: f"[{p.name}]"}
+    a = p.matrix
+    for control, idle, active in _CONTROLS:
+        if np.array_equal(a[idle], np.eye(4)[idle]):
+            target = "(+)" if np.array_equal(a[np.ix_(active, active)], _X) else f"[{p.name}]"
+            return {p.top + control: "o", p.top + 1 - control: target}
+    return {p.top: f"[{p.name}", p.top + 1: f"{p.name}]"}
+
+
+def render_ascii(circuit, m: int) -> str:
+    """Draw the circuit as m wire rows, time running left to right."""
+    columns = []
+    for p in circuit:
+        if p.is_wire:
+            continue
+        cells = _cells(p)
+        width = max(len(c) for c in cells.values()) + 2
+        col = []
+        for q in range(m):
+            cell = cells.get(q, "")
+            pad = width - len(cell)
+            col.append("-" * (pad // 2) + cell + "-" * (pad - pad // 2))
+        columns.append(col)
+    rows = []
+    for q in range(m):
+        body = "".join(col[q] for col in columns) if columns else "---"
+        rows.append(f"q{q}: ---{body}---")
+    return "\n".join(rows)
+
+
 def _goal(args):
     if bool(args.goal) == bool(args.goal_file):
         raise ValueError("exactly one of --goal / --goal-file is required")
     goal = (targets.builtin(args.goal) if args.goal
-            else targets.goal_from_json(read_json(args.goal_file)))
+            else goal_from_json(read_json(args.goal_file)))
     gs = default_gate_set()
     if args.gate_file:
         gs = extend_gate_set(gs, read_json(args.gate_file))

@@ -1,16 +1,16 @@
-"""Binary chromosome <-> circuit translation.
+"""Binary chromosome -> circuit decoding.
 
 A chromosome of g*k bits splits into g codons of k bits each, read
 big-endian.  Codon value s selects placement index floor(s*N / 2^k), so
 every bit pattern decodes to a valid circuit and each index has either
-floor(2^k/N) or ceil(2^k/N) preimages.
+floor(2^k/N) or ceil(2^k/N) preimages.  A circuit's JSON form and its
+drawing are in `cli`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .gates import (GateSet, Placement, json_fields, json_list, json_object, require_qubits,
-                    whole_number)
+from .gates import GateSet, Placement
 
 
 def codon_bits(n_cases: int) -> int:
@@ -45,74 +45,4 @@ def decode(bits, m: int, gs: GateSet) -> list[Placement]:
     if bits.ndim != 1:
         raise ValueError(f"chromosome shape {bits.shape} is not one-dimensional")
     return [table.cases[i] for i in decode_indices(bits[None], len(table))[0]]
-
-
-# (control wire, its idle basis states, its active ones) of a two-qubit
-# matrix: the upper wire is the more significant bit of the basis index
-_CONTROLS = ((0, [0, 1], [2, 3]), (1, [0, 2], [1, 3]))
-_X = np.array([[0, 1], [1, 0]])
-
-
-def _cells(p: Placement) -> dict:
-    """The drawn cell of each wire a non-wire placement acts on.
-
-    A two-qubit matrix that is the identity on the basis states where one of
-    its wires is 0 is controlled by that wire, drawn `o`; its target is drawn
-    `(+)` when the controlled gate is X.  The first wire that qualifies is
-    the control, so a symmetric one (CZ) draws it on the upper wire.
-    """
-    if p.span == 1:
-        return {p.top: f"[{p.name}]"}
-    a = p.matrix
-    for control, idle, active in _CONTROLS:
-        if np.array_equal(a[idle], np.eye(4)[idle]):
-            target = "(+)" if np.array_equal(a[np.ix_(active, active)], _X) else f"[{p.name}]"
-            return {p.top + control: "o", p.top + 1 - control: target}
-    return {p.top: f"[{p.name}", p.top + 1: f"{p.name}]"}
-
-
-def render_ascii(circuit, m: int) -> str:
-    """Draw the circuit as m wire rows, time running left to right."""
-    columns = []
-    for p in circuit:
-        if p.is_wire:
-            continue
-        cells = _cells(p)
-        width = max(len(c) for c in cells.values()) + 2
-        col = []
-        for q in range(m):
-            cell = cells.get(q, "")
-            pad = width - len(cell)
-            col.append("-" * (pad // 2) + cell + "-" * (pad - pad // 2))
-        columns.append(col)
-    rows = []
-    for q in range(m):
-        body = "".join(col[q] for col in columns) if columns else "---"
-        rows.append(f"q{q}: ---{body}---")
-    return "\n".join(rows)
-
-
-def circuit_to_json(circuit, m: int) -> dict:
-    """Exportable form: non-wire gates in time order plus the derived cost."""
-    return {
-        "qubits": m,
-        "gates": [{"gate": p.name, "top": p.top} for p in circuit if not p.is_wire],
-        "cost": sum(p.cost for p in circuit),
-    }
-
-
-def circuit_from_json(data: dict, gs: GateSet) -> tuple[list[Placement], int]:
-    """Rebuild (circuit, qubit count) from the JSON form."""
-    qubits, gates = json_fields(json_object(data, "a circuit file"), "a circuit file",
-                                "qubits", "gates")
-    m = whole_number(qubits, "circuit qubits")
-    require_qubits(m, "circuit qubits")
-    circuit = []
-    for i, e in enumerate(json_list(gates, "circuit gates")):
-        what = f"circuit gate {i}"
-        name, top = json_fields(json_object(e, what), what, "gate", "top")
-        if not isinstance(name, str):
-            raise ValueError(f"{what}: gate must be a name, got {name!r}")
-        circuit.append(gs.placement(name, whole_number(top, f"gate {name!r}: top"), m))
-    return circuit, m
 

@@ -15,7 +15,7 @@ Placement index convention (fixed for reproducibility):
 costs, block steps and row-sparse form, and keeps them for later calls; the
 codec, the evaluators, the engine and the verifier all read that one table,
 and keep what they build from it (kernel buffers, suffix blocks, clan plans)
-on it with `PlacementTable.kept`.
+on it with `PlacementTable.kept`.  A gate file is read by `cli.extend_gate_set`.
 """
 from __future__ import annotations
 
@@ -248,77 +248,3 @@ def default_gate_set() -> GateSet:
         two_qubit=(Gate("CNOT", CNOT_MATRIX, 2),),
     )
 
-
-def whole_number(value, what: str) -> int:
-    """A file value that must be a whole number (2 or 2.0, not 1.9, a bool or a string)."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return value
-
-
-def _shown(value) -> str:
-    """A JSON value for an error message: containers by kind, scalars as written."""
-    return "an object" if isinstance(value, dict) else "a list" if isinstance(value, list) \
-        else repr(value)
-
-
-def json_object(value, what: str) -> dict:
-    """A file value that must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {_shown(value)}")
-    return value
-
-
-def json_fields(obj: dict, what: str, *keys: str) -> list:
-    """The values of required fields of a file object, in the order named."""
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{what} has no {key!r} field")
-    return [obj[key] for key in keys]
-
-
-def json_list(value, what: str) -> list:
-    """A file value that must be a JSON list."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON list, got {_shown(value)}")
-    return value
-
-
-def _is_pair(z) -> bool:
-    """True for an [re, im] pair of JSON numbers."""
-    return isinstance(z, list) and len(z) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)
-
-
-def json_matrix(value, what: str) -> np.ndarray:
-    """A file matrix: equally long rows of [re, im] number pairs."""
-    if not isinstance(value, list) or not all(
-            isinstance(row, list) and len(row) == len(value[0]) and all(map(_is_pair, row))
-            for row in value):
-        raise ValueError(f"{what} must be a list of equally long rows of [re, im] number pairs")
-    return np.array([[complex(re, im) for (re, im) in row] for row in value], dtype=complex)
-
-
-def extend_gate_set(gs: GateSet, entries) -> GateSet:
-    """Append user gates from a gate file's JSON list of {name, arity, cost, matrix} entries.
-
-    Matrices are given as nested [re, im] pairs and validated for
-    unitarity on load.  Two-qubit entries are treated as families and
-    contribute both orientations.
-    """
-    one = list(gs.one_qubit)
-    two = list(gs.two_qubit)
-    for i, e in enumerate(json_list(entries, "a gate file")):
-        what = f"gate entry {i}"
-        name, arity, cost, matrix = json_fields(json_object(e, what), what,
-                                                "name", "arity", "cost", "matrix")
-        if not isinstance(name, str):
-            raise ValueError(f"{what}: name must be a string, got {name!r}")
-        g = Gate(name, json_matrix(matrix, f"gate {name!r}: matrix"),
-                 whole_number(cost, f"gate {name!r}: cost"))
-        if g.arity != whole_number(arity, f"gate {name!r}: arity"):
-            raise ValueError(f"gate {name!r}: declared arity {arity} does not match matrix size")
-        (one if g.arity == 1 else two).append(g)
-    return GateSet(one_qubit=tuple(one), two_qubit=tuple(two))

@@ -1,16 +1,15 @@
-"""Built-in goal unitaries, and the JSON form of a goal.
+"""Built-in goal unitaries.
 
 The entangling goals are defined as the unitaries of their optimal
 reference circuits (Bell / GHZ state preparation), composed from exact
-gate matrices.
+gate matrices.  A goal's JSON form is in `cli`.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .evaluate import GoalSpec
-from .gates import (CNOT_MATRIX, H_MATRIX, SWAP_MATRIX, json_fields, json_matrix, json_object,
-                    whole_number)
+from .gates import CNOT_MATRIX, H_MATRIX, SWAP_MATRIX
 from .linalg import identity, kron
 
 
@@ -52,30 +51,3 @@ def builtin(name: str) -> GoalSpec:
             f"unknown goal {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         ) from None
 
-
-def goal_to_json(goal: GoalSpec) -> dict:
-    """Exportable form: the qubit count, the matrix as [re, im] pairs, and the
-    optimal cost and name when the goal has them."""
-    data = {
-        "qubits": goal.num_qubits,
-        "matrix": [[[z.real, z.imag] for z in row] for row in goal.matrix],
-    }
-    if goal.optimal_cost is not None:
-        data["optimal_cost"] = goal.optimal_cost
-    if goal.name:
-        data["name"] = goal.name
-    return data
-
-
-def goal_from_json(data) -> GoalSpec:
-    """Rebuild a goal from the JSON form; `GoalSpec` rejects non-unitary or non-2^m matrices."""
-    data = json_object(data, "a goal file")
-    mat = json_matrix(*json_fields(data, "a goal file", "matrix"), "goal matrix")
-    m = whole_number(data.get("qubits", len(mat).bit_length() - 1), "goal qubits")
-    opt = data.get("optimal_cost")
-    if opt is not None:
-        opt = whole_number(opt, "goal optimal_cost")
-    name = data.get("name", "")
-    if not isinstance(name, str):
-        raise ValueError(f"goal name must be a string, got {name!r}")
-    return GoalSpec(m, mat, optimal_cost=opt, name=name)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_forge import engine, evaluate
+from oracle_forge.cli import extend_gate_set
 from oracle_forge.codec import codon_bits, decode, decode_indices
 from oracle_forge.engine import (
     HqeaParams,
@@ -34,7 +35,7 @@ from oracle_forge.evaluate import (
     is_success,
 )
 from oracle_forge.gates import (CNOT_MATRIX, Gate, GateSet, PlacementTable, default_gate_set,
-                               extend_gate_set, placement_operator)
+                               placement_operator)
 from oracle_forge.kron_apply import (
     StructuredOperator,
     apply_block_step,

@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 from oracle_forge import brute
 from oracle_forge.brute import (BLOCK_BYTES, ClanPlan, SuffixBlock, block_depth, clan_depth,
                                 min_cost_search, node_count)
-from oracle_forge.cli import main as cli_main
+from oracle_forge.cli import extend_gate_set, main as cli_main
 from oracle_forge.evaluate import GoalSpec, circuit_unitary, correctness
-from oracle_forge.gates import (GateSet, PlacementTable, default_gate_set, extend_gate_set,
-                               placement_operator)
+from oracle_forge.gates import GateSet, PlacementTable, default_gate_set, placement_operator
 from oracle_forge.kron_apply import apply_block_step, apply_structured, step_product
 from oracle_forge.linalg import identity
 from oracle_forge.targets import builtin

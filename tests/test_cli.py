@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -9,13 +12,13 @@ import numpy as np
 import pytest
 
 from oracle_forge import kron_apply
-from oracle_forge.cli import build_parser, main
-from oracle_forge.codec import circuit_from_json
+from oracle_forge.cli import (build_parser, circuit_from_json, circuit_to_json, extend_gate_set,
+                              goal_from_json, goal_to_json, main)
 from oracle_forge.engine import evolve
 from oracle_forge.evaluate import FitnessParams, GoalSpec, evaluate_circuit, is_success
 from oracle_forge.linalg import identity
 from oracle_forge.gates import default_gate_set
-from oracle_forge.targets import builtin, goal_to_json
+from oracle_forge.targets import builtin
 
 
 def run(capsys, *argv):
@@ -318,6 +321,43 @@ def test_reports_match_pinned_bytes(tmp_path, capsys, monkeypatch, argv, flag, n
     assert (tmp_path / name / written).read_bytes() == (pin / written).read_bytes()
 
 
+FORMATS = Path(__file__).parent / "data" / "formats"
+
+
+def test_file_forms_match_pinned_bytes(tmp_path, capsys):
+    # a goal file as goal_to_json writes a built-in, a gate file with a user
+    # one-qubit and two-qubit gate, a circuit file that uses both orientations
+    # of the latter, and the verify and synth runs that read them, recorded
+    # before the JSON and text forms moved into cli
+    files = [str(FORMATS / name) for name in ("goal.json", "gates.json", "circuit.json")]
+    goal_file, gate_file, circuit_file = files
+    code, out, _ = run(capsys, "verify", "--goal-file", goal_file, "--gate-file", gate_file,
+                       "--circuit", circuit_file)
+    assert code == 0 and out.encode() == (FORMATS / "verify.txt").read_bytes()
+    code, out, _ = run(capsys, "synth", "--goal-file", goal_file, "--gate-file", gate_file,
+                       "--g", "4", "--max-gen", "20", "--seed", "3", "--out-dir", str(tmp_path))
+    assert code == 0 and out.encode() == (FORMATS / "synth" / "stdout.txt").read_bytes()
+    for name in ("circuit.json", "generations.csv"):
+        assert (tmp_path / name).read_bytes() == (FORMATS / "synth" / name).read_bytes()
+
+    goal, gates, circuit = (json.loads(Path(path).read_text()) for path in files)
+    assert (json.dumps(goal_to_json(goal_from_json(goal))) + "\n").encode() == \
+        Path(goal_file).read_bytes()
+    gs = extend_gate_set(default_gate_set(), gates)
+    assert circuit_to_json(*circuit_from_json(circuit, gs))["gates"] == circuit["gates"]
+
+
+def test_importing_the_package_loads_no_boundary_module():
+    # the command line and its file formats stay out of a plain import, which
+    # each of the benchmark's set-up probes times in a fresh interpreter
+    boundary = ("oracle_forge.cli", "argparse", "csv", "json")
+    probe = f"import sys, oracle_forge; print([m for m in {boundary!r} if m in sys.modules])"
+    src = str(Path(kron_apply.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
+
+
 @pytest.mark.parametrize("command", ["synth", "experiment"])
 @pytest.mark.parametrize("g", ["0", "-3"])
 def test_gate_budget_below_one_exits_1(tmp_path, capsys, command, g, monkeypatch):
@@ -558,8 +598,7 @@ def test_goal_file_with_a_negative_optimal_cost_exits_1(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: goal optimal_cost must be non-negative, got -3\n")
 
 
-@pytest.mark.parametrize("name, shown", [({"a": 1}, "{'a': 1}"), (["a"], "['a']"), (7, "7"),
-                                         (None, "None")])
+@pytest.mark.parametrize("name, shown", [({"a": 1}, "{'a': 1}"), (["a"], "['a']"), (7, "7")])
 def test_goal_file_with_a_name_that_is_no_string_exits_1(tmp_path, capsys, name, shown):
     # an object name was formatted into the experiment row as {'a': 1}
     path = tmp_path / "goal.json"

@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_forge.codec import (
-    circuit_from_json,
-    circuit_to_json,
-    codon_bits,
-    decode,
-    decode_codon,
-    decode_indices,
-    render_ascii,
-)
+from oracle_forge.cli import circuit_from_json, circuit_to_json, render_ascii
+from oracle_forge.codec import codon_bits, decode, decode_codon, decode_indices
 from oracle_forge.evaluate import circuit_unitary
 from oracle_forge.gates import (
     H_MATRIX,

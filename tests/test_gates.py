@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracle_forge.cli import extend_gate_set
 from oracle_forge.gates import (
     CNOT2_MATRIX,
     CNOT_MATRIX,
@@ -11,7 +12,6 @@ from oracle_forge.gates import (
     T_MATRIX,
     case_count,
     default_gate_set,
-    extend_gate_set,
     placement_operator,
 )
 from oracle_forge.linalg import identity, is_unitary, kron

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from oracle_forge.cli import goal_from_json, goal_to_json
 from oracle_forge.evaluate import correctness, circuit_unitary
 from oracle_forge.gates import default_gate_set
 from oracle_forge.linalg import identity, is_unitary
-from oracle_forge.targets import BUILTIN_NAMES, builtin, goal_from_json, goal_to_json
+from oracle_forge.targets import BUILTIN_NAMES, builtin
 
 
 def test_builtin_names():
@@ -104,6 +105,18 @@ def test_load_rejects_a_non_whole_qubit_count_or_optimal_cost(field, value):
     data = {"qubits": 1, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], field: value}
     with pytest.raises(ValueError, match=f"^goal {field} must be a whole number, got "):
         goal_from_json(data)
+
+
+@pytest.mark.parametrize("field", ["qubits", "optimal_cost", "name"])
+def test_load_reads_a_null_optional_field_as_absent(field):
+    # a null optimal cost read as none, but a null name or qubit count was
+    # rejected as a value of the wrong type
+    data = goal_to_json(builtin("entangle2"))
+    got = goal_from_json({**data, field: None})
+    want = goal_from_json({key: value for key, value in data.items() if key != field})
+    assert (got.num_qubits, got.optimal_cost, got.name) == \
+        (want.num_qubits, want.optimal_cost, want.name)
+    assert np.array_equal(got.matrix, want.matrix)
 
 
 @pytest.mark.parametrize("data,message", [
