@@ -35,7 +35,7 @@ from . import targets
 from .brute import min_cost_search
 from .engine import HqeaParams, evolve, run_batch
 from .evaluate import FitnessParams, GoalSpec, allcost, evaluate_circuit, is_success
-from .gates import Gate, GateSet, Placement, default_gate_set, require_qubits
+from .gates import MAX_QUBITS, Gate, GateSet, Placement, default_gate_set, require_qubits
 from .kron_apply import BenchRow, benchmark_sweep
 
 
@@ -232,8 +232,8 @@ def _is_pair(z) -> bool:
 
 
 def json_matrix(value, what: str) -> np.ndarray:
-    """A file matrix: equally long rows of [re, im] number pairs."""
-    if not isinstance(value, list) or not all(
+    """A file matrix: a non-empty list of equally long rows of [re, im] number pairs."""
+    if not isinstance(value, list) or not value or not all(
             isinstance(row, list) and len(row) == len(value[0]) and all(map(_is_pair, row))
             for row in value):
         raise ValueError(f"{what} must be a list of equally long rows of [re, im] number pairs")
@@ -243,8 +243,8 @@ def json_matrix(value, what: str) -> np.ndarray:
 def extend_gate_set(gs: GateSet, entries) -> GateSet:
     """Append user gates from a gate file's JSON list of {name, arity, cost, matrix} entries.
 
-    Matrices are given as nested [re, im] pairs and validated for
-    unitarity on load.  Two-qubit entries are treated as families and
+    Matrices are given as nested [re, im] pairs, and `Gate` checks each
+    one's shape and entries.  Two-qubit entries are treated as families and
     contribute both orientations.
     """
     one = list(gs.one_qubit)
@@ -281,7 +281,8 @@ def goal_from_json(data) -> GoalSpec:
     """Rebuild a goal from the JSON form; `GoalSpec` rejects non-unitary or non-2^m matrices."""
     data = json_present(json_object(data, "a goal file"))
     mat = json_matrix(*json_fields(data, "a goal file", "matrix"), "goal matrix")
-    m = whole_number(data.get("qubits", len(mat).bit_length() - 1), "goal qubits")
+    from_rows = min(max(len(mat).bit_length() - 1, 1), MAX_QUBITS)  # so GoalSpec names a bad shape
+    m = whole_number(data.get("qubits", from_rows), "goal qubits")
     opt = data.get("optimal_cost")
     if opt is not None:
         opt = whole_number(opt, "goal optimal_cost")

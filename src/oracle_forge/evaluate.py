@@ -23,6 +23,7 @@ placements' `BlockStep`s.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -195,13 +196,14 @@ def row_sparse_overlaps(indices: np.ndarray, table: PlacementTable,
     # a row shorter than the table's depth pads its prefix with wires (index 0)
     place = len(table) ** np.arange(scratch.depth - 1, scratch.depth - 1 - depth, -1)
     overlap = np.empty(len(indices), dtype=complex)
-    for start in range(0, len(indices), scratch.chunk):
-        rows = indices[start:start + scratch.chunk]
-        n = len(rows)
-        np.take(scratch.prefixes, rows[:, :depth] @ place, axis=0, out=scratch.lams[0, :n],
-                mode="clip")
-        lam = apply_positions(rows[:, depth:], table, scratch)
-        overlap[start:start + n] = np.vecdot(goal_flat, lam.reshape(n, -1))
+    with scratch.lock:
+        for start in range(0, len(indices), scratch.chunk):
+            rows = indices[start:start + scratch.chunk]
+            n = len(rows)
+            np.take(scratch.prefixes, rows[:, :depth] @ place, axis=0, out=scratch.lams[0, :n],
+                    mode="clip")
+            lam = apply_positions(rows[:, depth:], table, scratch)
+            overlap[start:start + n] = np.vecdot(goal_flat, lam.reshape(n, -1))
     return overlap
 
 
@@ -253,23 +255,24 @@ class RowSparseScratch:
     in base N (the table's length) are k, wires included, built a chunk at
     a time with `apply_positions` itself so that each entry is the lambda
     the kernel would build for that prefix.  `depth` is the largest whose
-    N^depth matrices fit in 8 x CHUNK_BYTES: 7, 4, 2 and 2 for the default
-    gates on one to four qubits, and 0 (the identity alone) from 128 x 128
-    up.
+    N^depth matrices fit in 8 x CHUNK_BYTES: 7, 4 and 2 for the default
+    gates on one to three qubits, the sizes below BLOCK_MIN_DIM, and 0 (the
+    identity alone) from 128 x 128 up.
 
     Each of the three stacks of `lams` and `weights` is at most CHUNK_BYTES
     or one matrix, `reads` and `first` half that, and `prefixes` at most
     8 x CHUNK_BYTES or one matrix, so a scratch keeps at most
     13 x CHUNK_BYTES (3.25 MiB) plus the w x N matrices of `spread`: 1.3 to
-    2.7 MiB in all for the default gates on one to four qubits (2.7 on two,
+    2.7 MiB in all for the default gates on one to three qubits (2.7 on two,
     where the table is 1.6 MiB).  The kernel keeps one on each placement
-    table it scores (see `kernel_scratch`).  It is not for concurrent use.
+    table it scores (see `kernel_scratch`) and holds its `lock` per call.
     """
 
     def __init__(self, table: PlacementTable):
         n, dim, width = table.cols.shape
         matrix = 16 * dim * dim
         self.chunk = max(1, CHUNK_BYTES // matrix)
+        self.lock = threading.Lock()
         self.lams = np.empty((3, self.chunk, dim, dim), dtype=complex)
         self.reads = np.empty((self.chunk, dim, width), dtype=np.intp)
         self.weights = np.empty((self.chunk, dim, dim), dtype=complex)
@@ -333,24 +336,25 @@ def block_overlaps(indices: np.ndarray, table: PlacementTable,
     seconds = np.where(wide & (count == 2), indices, 0).sum(axis=1)
     starts = before.sum(axis=1) + (seconds > 0)
     overlap = np.empty(len(indices), dtype=complex)
-    spare, term = scratch.spare, scratch.term
-    for start in range(0, len(indices), scratch.chunk):
-        stop = start + scratch.chunk
-        cols, vals = head_lambdas(heads[start:stop], seconds[start:stop], table, scratch)
-        tails = [row[a:] for row, a in zip(indices[start:stop].tolist(),
-                                           starts[start:stop].tolist())]
-        for k in range(0, len(tails), len(scratch.lams)):
-            part = slice(k, k + len(scratch.lams))
-            lams = scatter_heads(cols[part], vals[part], scratch)
-            for x, tail in zip(lams, tails[part]):
-                lam = x
-                for i in tail:
-                    lam, spare = apply_block_step(steps[i], lam, spare, term)
-                if lam is not x:
-                    x[...] = lam
-                    spare = lam
-            n = len(lams)
-            overlap[start + k:start + k + n] = np.vecdot(goal_flat, lams.reshape(n, -1))
+    with scratch.lock:
+        spare, term = scratch.spare, scratch.term
+        for start in range(0, len(indices), scratch.chunk):
+            stop = start + scratch.chunk
+            cols, vals = head_lambdas(heads[start:stop], seconds[start:stop], table, scratch)
+            tails = [row[a:] for row, a in zip(indices[start:stop].tolist(),
+                                               starts[start:stop].tolist())]
+            for k in range(0, len(tails), len(scratch.lams)):
+                part = slice(k, k + len(scratch.lams))
+                lams = scatter_heads(cols[part], vals[part], scratch)
+                for x, tail in zip(lams, tails[part]):
+                    lam = x
+                    for i in tail:
+                        lam, spare = apply_block_step(steps[i], lam, spare, term)
+                    if lam is not x:
+                        x[...] = lam
+                        spare = lam
+                n = len(lams)
+                overlap[start + k:start + k + n] = np.vecdot(goal_flat, lams.reshape(n, -1))
     return overlap
 
 
@@ -440,8 +444,8 @@ class BlockScratch:
     index of row i of its matrix k for each of the row's w * w slots, and
     `where` takes the scatter indices; `spare` and `term` are the block
     steps'.  So a scratch keeps about (2 + 0.7 w) x CHUNK_BYTES plus two
-    matrices and the tables: 1.2 MiB at 64 x 64 for the default gates.  It
-    is not for concurrent use.
+    matrices and the tables: 1.2 MiB at 64 x 64 for the default gates.  The
+    kernel holds `lock` for each call, so threads that share a table wait.
     """
 
     def __init__(self, table: PlacementTable):
@@ -471,6 +475,7 @@ class BlockScratch:
             stack, dim, slots)
         self.where = np.empty((stack, dim, slots), dtype=np.intp)
         self.spare, self.term = np.empty((2, dim, dim), dtype=complex)
+        self.lock = threading.Lock()
 
 
 def is_success(result: EvalResult | Score, params: FitnessParams) -> bool:

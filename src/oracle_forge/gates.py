@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kron_apply import StructuredOperator, block_step, row_sparse
-from .linalg import DEFAULT_MAX_DIM, as_matrix, require_unitary
+from .linalg import DEFAULT_MAX_DIM, require_unitary
 
 MAX_QUBITS = DEFAULT_MAX_DIM.bit_length() - 1  # the most qubits of any goal, circuit or table
 
@@ -55,9 +55,9 @@ class Gate:
     cost: int
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape[0] not in (2, 4):
-            raise ValueError(f"gate {self.name!r}: only 2x2 or 4x4 matrices are supported")
+        m = np.array(self.matrix, dtype=complex)
+        if m.shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"gate {self.name!r}: matrix must be 2x2 or 4x4, got shape {m.shape}")
         require_unitary(m, f"gate {self.name!r}")
         require_cost(self.cost, f"gate {self.name!r}: cost")
         object.__setattr__(self, "matrix", m)

@@ -25,16 +25,6 @@ class MulCounter:
         self.count += n
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting NaN/Inf entries."""
-    a = np.array(values, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
 def mat_mul_naive(a: np.ndarray, b: np.ndarray, counter: MulCounter | None = None) -> np.ndarray:
     """Schoolbook matrix product, n^3 scalar multiplications.
 
@@ -69,8 +59,9 @@ def identity(dim: int) -> np.ndarray:
 
 
 def unitarity_deviation(a: np.ndarray) -> float:
-    """Max entrywise |a^dag a - I|."""
-    return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
+    """Max entrywise |a^dag a - I|: inf or NaN, with no numpy warning, when a^dag a overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # entries past 1e154 overflow
+        return float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
 
 
 def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
@@ -81,7 +72,9 @@ def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 
 
 def require_unitary(a: np.ndarray, what: str) -> None:
-    """Reject a matrix that is not unitary within UNITARY_TOL; `what` names it."""
+    """Reject a non-finite matrix, or one not unitary within UNITARY_TOL; `what` names it."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has a non-finite entry")
     dev = unitarity_deviation(a)
     if not dev <= UNITARY_TOL:  # also rejects NaN
         raise ValueError(f"{what} is not unitary: max |U^dag U - I| = {dev:.3e}, "

@@ -7,6 +7,7 @@ evaluate it, cache it by its bytes, scan in (member, measurement) order).
 """
 import dataclasses
 import math
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -663,3 +664,27 @@ def test_decode_indices_rows_match_scalar_decode():
         assert indices.shape == (30, 7)
         for row, b in zip(indices, bits):
             assert [table.cases[i] for i in row] == decode(b, m, gs)
+
+
+@pytest.mark.parametrize("m", [3, 4], ids=["row-sparse", "block"])
+def test_two_threads_on_one_gate_set_score_as_one_thread_does(m):
+    # each kernel keeps its buffers on the placement table the threads share;
+    # satcost 0 keeps every run from stopping early on a success
+    gs = default_gate_set()
+    circuit = [gs.placement("H", 0, m)] + [gs.placement("CNOT", q, m) for q in range(m - 1)]
+    goal = GoalSpec(m, circuit_unitary(circuit, m))
+    params = [HqeaParams(FitnessParams(0), max_gen=30, seed=seed) for seed in range(6)]
+    want = [evolve(goal, default_gate_set(), 8, p) for p in params]
+    got = [None] * len(params)
+
+    def run(first):
+        for i in range(first, len(params), 2):
+            got[i] = evolve(goal, gs, 8, params[i])
+
+    threads = [threading.Thread(target=run, args=(first,)) for first in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for a, b in zip(got, want):
+        assert np.array_equal(a.best_bits, b.best_bits) and a.history == b.history

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -546,6 +547,28 @@ def test_config_keys_that_name_no_flag_are_ignored(tmp_path, capsys):
      "circuit gates must be a JSON list, got 5"),
     (["synth", "--goal", "swap", "--config"], "cfg.json", [{"g": 3}],
      "a config file must be a JSON object, got a list"),
+    # a matrix's entries are judged by require_unitary, a gate matrix's shape by Gate,
+    # and each message names the gate or the goal matrix
+    (["brute", "--goal", "swap", "--max-gates", "1", "--gate-file"], "gates.json",
+     [{"name": "X", "arity": 1, "cost": 1, "matrix": [[[0, 0], [1, 0], [0, 0]]] * 2}],
+     "gate 'X': matrix must be 2x2 or 4x4, got shape (2, 3)"),
+    (["brute", "--goal", "swap", "--max-gates", "1", "--gate-file"], "gates.json",
+     [{"name": "X", "arity": 1, "cost": 1, "matrix": []}],
+     "gate 'X': matrix must be a list of equally long rows of [re, im] number pairs"),
+    (["brute", "--goal", "swap", "--max-gates", "1", "--gate-file"], "gates.json",
+     [{"name": "X", "arity": 1, "cost": 1, "matrix": [[[0, 0], [math.inf, 0]], [[1, 0], [0, 0]]]}],
+     "gate 'X' has a non-finite entry"),
+    # U^dag U overflows to inf without numpy's overflow warning
+    (["brute", "--goal", "swap", "--max-gates", "1", "--gate-file"], "gates.json",
+     [{"name": "X", "arity": 1, "cost": 1, "matrix": [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+     "gate 'X' is not unitary: max |U^dag U - I| = inf, over the tolerance 1e-10"),
+    (["brute", "--max-gates", "1", "--goal-file"], "goal.json", {"matrix": []},
+     "goal matrix must be a list of equally long rows of [re, im] number pairs"),
+    # 2048 rows and no qubit count: the count read from the rows is clamped to 10
+    (["brute", "--max-gates", "1", "--goal-file"], "goal.json", {"matrix": [[[1, 0]]] * 2048},
+     "goal matrix of shape (2048, 1) is not 2^qubits x 2^qubits (qubits=10)"),
+    (["brute", "--max-gates", "1", "--goal-file"], "goal.json",
+     {"matrix": [[[math.inf, 0], [0, 0]], [[0, 0], [1, 0]]]}, "goal matrix has a non-finite entry"),
 ])
 def test_file_of_the_wrong_json_shape_exits_1(tmp_path, capsys, argv, name, content, message):
     path = tmp_path / name
