@@ -247,8 +247,7 @@ def extend_gate_set(gs: GateSet, entries) -> GateSet:
     one's shape and entries.  Two-qubit entries are treated as families and
     contribute both orientations.
     """
-    one = list(gs.one_qubit)
-    two = list(gs.two_qubit)
+    gates = list(gs.gates)
     for i, e in enumerate(json_list(entries, "a gate file")):
         what = f"gate entry {i}"
         name, arity, cost, matrix = json_fields(json_object(e, what), what,
@@ -259,8 +258,8 @@ def extend_gate_set(gs: GateSet, entries) -> GateSet:
                  whole_number(cost, f"gate {name!r}: cost"))
         if g.arity != whole_number(arity, f"gate {name!r}: arity"):
             raise ValueError(f"gate {name!r}: declared arity {arity} does not match matrix size")
-        (one if g.arity == 1 else two).append(g)
-    return GateSet(one_qubit=tuple(one), two_qubit=tuple(two))
+        gates.append(g)
+    return GateSet(tuple(gates))
 
 
 def goal_to_json(goal: GoalSpec) -> dict:
@@ -281,8 +280,13 @@ def goal_from_json(data) -> GoalSpec:
     """Rebuild a goal from the JSON form; `GoalSpec` rejects non-unitary or non-2^m matrices."""
     data = json_present(json_object(data, "a goal file"))
     mat = json_matrix(*json_fields(data, "a goal file", "matrix"), "goal matrix")
-    from_rows = min(max(len(mat).bit_length() - 1, 1), MAX_QUBITS)  # so GoalSpec names a bad shape
-    m = whole_number(data.get("qubits", from_rows), "goal qubits")
+    if "qubits" in data:
+        m = whole_number(data["qubits"], "goal qubits")
+    else:  # read from the shape, which then names a bad one alone
+        m = len(mat).bit_length() - 1
+        if not 1 <= m <= MAX_QUBITS or mat.shape != (1 << m, 1 << m):
+            raise ValueError(f"goal matrix of shape {mat.shape} is not 2^qubits x 2^qubits "
+                             f"for 1 to {MAX_QUBITS} qubits")
     opt = data.get("optimal_cost")
     if opt is not None:
         opt = whole_number(opt, "goal optimal_cost")

@@ -152,7 +152,7 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
 
     best_bits: np.ndarray | None = None     # best-ever by fitness (elitist record)
     best: Score | None = None
-    guide_bits: np.ndarray | None = None    # rotation target, reset on restart
+    guide_bits: np.ndarray | None = None    # rotation target, replaced after a restart
     guide_fitness = math.inf
     stagnant = 0
     history = []
@@ -188,13 +188,12 @@ def evolve(goal: GoalSpec, gs: GateSet, max_gates: int, params: HqeaParams) -> R
         stagnant = 0 if improved else stagnant + 1
         if stagnant >= params.restart_after:
             pop = init_population(params.pop_size, n_bits)
-            guide_bits = None
             guide_fitness = math.inf
             stagnant = 0
             continue
-        if guide_bits is not None:
-            behind = guide_fitness < fitness.min(axis=1)
-            pop[behind] = rotate_toward(pop[behind], guide_bits, params.delta_theta)
+        # guide_fitness is inf at the start and after a restart, so a guide is set
+        behind = guide_fitness < fitness.min(axis=1)
+        pop[behind] = rotate_toward(pop[behind], guide_bits, params.delta_theta)
 
     best_circuit = decode(best_bits, m, gs)
     return RunResult(

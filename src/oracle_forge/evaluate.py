@@ -31,7 +31,7 @@ import numpy as np
 
 from .gates import PlacementTable, placement_operator, require_cost, require_qubits
 from .kron_apply import apply_block_step, apply_structured
-from .linalg import identity, require_unitary
+from .linalg import complex_matrix, identity, require_unitary
 
 # working-set budget of both kernels: the row-sparse one scores its rows this
 # many bytes of lambda matrices at a time, and its prefix table, read by one
@@ -61,6 +61,7 @@ class GoalSpec:
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "matrix", complex_matrix(self.matrix, "goal matrix"))
         m, shape = self.num_qubits, self.matrix.shape
         require_qubits(m, "goal qubits")  # before the unitarity check of an oversized matrix
         if shape != (1 << m, 1 << m):
@@ -118,11 +119,9 @@ class EvalResult:
 
 
 def circuit_unitary(circuit, m: int) -> np.ndarray:
-    """Ordered product of the embedded gate matrices; wires contribute nothing."""
+    """Ordered product of the embedded gate matrices."""
     u = identity(1 << m)
     for p in circuit:
-        if p.is_wire:
-            continue
         u = apply_structured(placement_operator(p, m), u)
     return u
 
@@ -307,7 +306,7 @@ def block_overlaps(indices: np.ndarray, table: PlacementTable,
     slots (see `head_lambdas`), one flat gather per position for the whole
     chunk.  Each lambda is then scattered into a stack of CHUNK_BYTES of
     matrices and the rest of its row applied in place, gate by gate,
-    through the placements' `BlockStep`s, of which a wire's does nothing.
+    through the placements' `BlockStep`s.
     Each stack's overlaps are one `vecdot` with the flat goal.
 
     The lambda equals the block steps' bit for bit, up to the sign of an

@@ -6,10 +6,11 @@ matrix as given (control on the upper wire for CNOT) and its conjugation
 by SWAP (suffix "2", control on the lower wire).
 
 Placement index convention (fixed for reproducibility):
-  0                   -> the quantum wire (no-op)
+  0                   -> the quantum wire, the identity on qubit 0
   1 .. n1*m           -> one-qubit gates, gate-major then qubit
   n1*m+1 .. end       -> two-qubit families, family-major then pair,
                          (down, up) within each pair
+where a gate set's one list gives the order of its gates and of its families.
 
 `GateSet.table(m)` builds the placements on m qubits once, with their
 costs, block steps and row-sparse form, and keeps them for later calls; the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kron_apply import StructuredOperator, block_step, row_sparse
-from .linalg import DEFAULT_MAX_DIM, require_unitary
+from .linalg import DEFAULT_MAX_DIM, complex_matrix, identity, require_unitary
 
 MAX_QUBITS = DEFAULT_MAX_DIM.bit_length() - 1  # the most qubits of any goal, circuit or table
 
@@ -55,7 +56,7 @@ class Gate:
     cost: int
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = complex_matrix(self.matrix, f"gate {self.name!r}: matrix")
         if m.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"gate {self.name!r}: matrix must be 2x2 or 4x4, got shape {m.shape}")
         require_unitary(m, f"gate {self.name!r}")
@@ -69,17 +70,17 @@ class Gate:
 
 @dataclass(frozen=True, eq=False)
 class Placement:
-    """One gate applied at one position, or the wire (matrix None)."""
+    """One gate applied at one position; the wire is the identity on qubit 0."""
 
     name: str
     top: int
     span: int
     cost: int
-    matrix: np.ndarray | None
+    matrix: np.ndarray
 
     @property
     def is_wire(self) -> bool:
-        return self.matrix is None
+        return self.name == WIRE
 
 
 def require_cost(cost: int, what: str) -> None:
@@ -97,7 +98,7 @@ def require_qubits(m: int, what: str) -> None:
 
 
 def placement_operator(p: Placement, m: int) -> StructuredOperator:
-    """I (x) gate (x) I embedding of a non-wire placement on m qubits."""
+    """I (x) gate (x) I embedding of a placement on m qubits."""
     below = m - p.top - p.span
     return StructuredOperator(1 << p.top, p.matrix, 1 << below)
 
@@ -106,19 +107,20 @@ def placement_operator(p: Placement, m: int) -> StructuredOperator:
 class PlacementTable:
     """Every placement on m qubits in index order, with per-index data.
 
-    `cases[i]` carries the name, top qubit and matrix of index i (the wire is
-    index 0), and `costs[i]` its cost.  `index` maps (name, top) to the
-    placement index; the wire is keyed by top 0.
+    `cases[i]` carries the name, top qubit and matrix of index i (the wire,
+    the identity on qubit 0, is index 0), and `costs[i]` its cost.  `index`
+    maps (name, top) to the placement index; the wire is keyed by top 0.
 
     `steps[i]` is index i's `BlockStep`: how its `placement_operator` updates
-    a 2^m x 2^m matrix block by block (the wire's step does nothing).
+    a 2^m x 2^m matrix block by block (the wire's is a diagonal step with no
+    entries, which does nothing).
 
     The row-sparse form, `kron_apply.row_sparse` of the same operator,
     gives row r of the embedded 2^m x 2^m matrix of index i as `width[i]`
     terms: it reads the rows `cols[i, r, :]` in increasing order with the
     weights `vals[i, r, :]`.  The terms past a row's nonzeros, up to the
-    table's widest row, have weight 0 on row 0.  The wire is the identity:
-    one term of weight 1 per row.
+    table's widest row, have weight 0 on row 0.  The wire reads one term of
+    weight 1 per row, its own row.
 
     A table whose `cols` read outside the rows of its own matrix raises
     IndexError when it is built: the evaluator's gathers clip instead of
@@ -162,25 +164,20 @@ class PlacementTable:
 
 @dataclass(frozen=True, eq=False)
 class GateSet:
-    one_qubit: tuple
-    two_qubit: tuple
+    """One list of gates, numbered in its tables as the module docstring says."""
+
+    gates: tuple
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if not self.one_qubit and not self.two_qubit:
+        if not self.gates:
             raise ValueError("gate set must not be empty")
-        for g in self.one_qubit:
-            if g.arity != 1:
-                raise ValueError(f"gate {g.name!r} is not one-qubit")
-        for g in self.two_qubit:
-            if g.arity != 2:
-                raise ValueError(f"gate {g.name!r} is not two-qubit")
         # placements are looked up by (name, top), so every name must be unique
         owners = {WIRE: "the quantum wire"}
-        named = [(g.name, f"one-qubit gate {g.name!r}") for g in self.one_qubit]
-        for fam in self.two_qubit:
-            named.append((fam.name, f"two-qubit family {fam.name!r}"))
-            named.append((fam.name + "2", f"the swapped orientation of family {fam.name!r}"))
+        named = [(g.name, f"{'one-qubit gate' if g.arity == 1 else 'two-qubit family'} {g.name!r}")
+                 for g in self.gates]
+        named += [(g.name + "2", f"the swapped orientation of family {g.name!r}")
+                  for g in self.gates if g.arity == 2]
         for name, owner in named:
             if name in owners:
                 raise ValueError(f"gate name {name!r} of {owner} is already used by {owners[name]}")
@@ -195,16 +192,16 @@ class GateSet:
 
     def _build_table(self, m: int) -> PlacementTable:
         require_qubits(m, "qubit count")
-        cases = [Placement(WIRE, 0, m, 0, None)]
-        for g in self.one_qubit:
-            for q in range(m):
-                cases.append(Placement(g.name, q, 1, g.cost, g.matrix))
-        for fam in self.two_qubit:
-            flipped = SWAP_MATRIX @ fam.matrix @ SWAP_MATRIX  # the lower-control orientation
+        cases = [Placement(WIRE, 0, 1, 0, identity(2))]
+        for g in sorted(self.gates, key=lambda g: g.arity):  # stable: each arity as given
+            if g.arity == 1:
+                cases += [Placement(g.name, q, 1, g.cost, g.matrix) for q in range(m)]
+                continue
+            flipped = SWAP_MATRIX @ g.matrix @ SWAP_MATRIX  # the lower-control orientation
             for p in range(m - 1):
-                cases.append(Placement(fam.name, p, 2, fam.cost, fam.matrix))
-                cases.append(Placement(fam.name + "2", p, 2, fam.cost, flipped))
-        ops = [None if p.is_wire else placement_operator(p, m) for p in cases]
+                cases.append(Placement(g.name, p, 2, g.cost, g.matrix))
+                cases.append(Placement(g.name + "2", p, 2, g.cost, flipped))
+        ops = [placement_operator(p, m) for p in cases]
         rows = [row_sparse(op, 1 << m) for op in ops]
         width = np.array([c.shape[1] for c, _ in rows])
         cols = np.zeros((len(cases), 1 << m, width.max()), dtype=np.intp)
@@ -238,13 +235,12 @@ def case_count(m: int, gs: GateSet) -> int:
     """N = n1*m + 2*n2*(m-1) + 1 placements on m qubits, wire included, for
     n1 one-qubit gates and n2 two-qubit families."""
     require_qubits(m, "qubit count")
-    return len(gs.one_qubit) * m + 2 * len(gs.two_qubit) * (m - 1) + 1
+    n2 = sum(g.arity == 2 for g in gs.gates)
+    return (len(gs.gates) - n2) * m + 2 * n2 * (m - 1) + 1
 
 
 def default_gate_set() -> GateSet:
     """S, T, H at cost 1 and adjacent CNOT (both orientations) at cost 2."""
-    return GateSet(
-        one_qubit=(Gate("S", S_MATRIX, 1), Gate("T", T_MATRIX, 1), Gate("H", H_MATRIX, 1)),
-        two_qubit=(Gate("CNOT", CNOT_MATRIX, 2),),
-    )
+    return GateSet((Gate("S", S_MATRIX, 1), Gate("T", T_MATRIX, 1), Gate("H", H_MATRIX, 1),
+                    Gate("CNOT", CNOT_MATRIX, 2)))
 

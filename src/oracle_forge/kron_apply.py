@@ -89,9 +89,9 @@ class BlockStep:
     Output block row p is the sum over l of A[p, l] * X[:, l], so the step
     depends on the form of A (`kind`):
 
-    - "wire": no gate, nothing to do (its shape is empty);
     - "diagonal": `entries` holds (p, A[p, p]) for each entry that is not
-      exactly 1, and each scales block row p in place;
+      exactly 1, and each scales block row p in place (an identity, such
+      as the wire's, has no entries and does nothing);
     - "permutation": every row of A has one nonzero, an exact 1, and
       `entries[p]` is its column: one gather of block rows;
     - "dense": `entries[l]` is column l of A as an (n, 1) array, and the
@@ -108,10 +108,8 @@ class BlockStep:
     entries: object
 
 
-def block_step(op: StructuredOperator | None, dim: int) -> BlockStep:
-    """The block step of `op` on dim x dim matrices; None is the wire."""
-    if op is None:
-        return BlockStep((), "wire", ())
+def block_step(op: StructuredOperator, dim: int) -> BlockStep:
+    """The block step of `op` on dim x dim matrices."""
     a = op.gate
     shape = (-1, op.n, op.k * dim)
     nonzero = a != 0
@@ -123,15 +121,13 @@ def block_step(op: StructuredOperator | None, dim: int) -> BlockStep:
     return BlockStep(shape, "dense", tuple(a[:, l, None].copy() for l in range(op.n)))
 
 
-def row_sparse(op: StructuredOperator | None, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """`cols[dim, w]` and `vals[dim, w]` of `op` on dim x dim matrices; None is the wire.
+def row_sparse(op: StructuredOperator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """`cols[dim, w]` and `vals[dim, w]` of `op` on dim x dim matrices.
 
     Row (i, p, r) reads rows (i, l, r) for each nonzero A[p, l], in
     increasing l, with weight A[p, l], then row 0 with weight 0 up to w,
-    the gate's widest row.  The wire reads its own row with weight 1.
+    the gate's widest row.
     """
-    if op is None:
-        return np.arange(dim)[:, None], np.ones((dim, 1), dtype=complex)
     a, n, k = op.gate, op.n, op.k
     nonzero = a != 0
     w = nonzero.sum(axis=1).max()
@@ -147,15 +143,12 @@ def apply_block_step(step: BlockStep, x: np.ndarray, spare: np.ndarray, term: np
     """Apply `step` to the dim x dim matrix `x`, or to a C-contiguous stack
     of them; returns (result, free buffer).
 
-    A diagonal step updates `x` in place and a wire leaves it alone; the
-    others write into `spare`, a buffer of x's shape, and hand `x` back as
-    the free one.  `term`, a third buffer of that shape, holds a dense
-    gate's column product before it is added.  Each product is gate entry
-    times block, in that order: numpy's complex product is not bitwise
-    commutative.
+    A diagonal step updates `x` in place; the others write into `spare`, a
+    buffer of x's shape, and hand `x` back as the free one.  `term`, a third
+    buffer of that shape, holds a dense gate's column product before it is
+    added.  Each product is gate entry times block, in that order: numpy's
+    complex product is not bitwise commutative.
     """
-    if step.kind == "wire":
-        return x, spare
     xs = x.reshape(step.shape)
     if step.kind == "diagonal":
         for p, a in step.entries:
@@ -183,7 +176,7 @@ def step_product(step: BlockStep, x: np.ndarray, term: np.ndarray,
 
     A diagonal step works on a copy of `x` in `out`, the others write into
     it as their spare; `out` must be C-contiguous, of x's shape, and `term`
-    is `apply_block_step`'s.  A wire returns `x` itself.
+    is `apply_block_step`'s.
     """
     if out is None:
         out = np.empty_like(x, order="C")

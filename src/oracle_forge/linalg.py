@@ -42,6 +42,14 @@ def mat_mul_naive(a: np.ndarray, b: np.ndarray, counter: MulCounter | None = Non
     return out
 
 
+def complex_matrix(a, what: str) -> np.ndarray:
+    """`a` as a new complex array; a ragged or non-numeric `a` raises, naming `what`."""
+    try:
+        return np.array(a, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a rectangular array of numbers") from None
+
+
 def require_dim(dim: int, what: str) -> None:
     """Reject a matrix dimension past DEFAULT_MAX_DIM; `what` names it."""
     if dim > DEFAULT_MAX_DIM:

@@ -82,7 +82,7 @@ def gate_sets():
     return base, ext
 
 
-BLOCK_KINDS = {"wire": "wire", "S": "diagonal", "T": "diagonal", "D": "diagonal",
+BLOCK_KINDS = {"wire": "diagonal", "S": "diagonal", "T": "diagonal", "D": "diagonal",
                "D2": "diagonal", "CNOT": "permutation", "CNOT2": "permutation",
                "P": "permutation", "P2": "permutation", "H": "dense", "U": "dense",
                "V": "dense", "V2": "dense", "CU": "dense", "CU2": "dense"}
@@ -315,10 +315,10 @@ def test_each_block_step_matches_the_structured_kernel(gate_sets, m):
     dim = 1 << m
     for gs in gate_sets:
         table = gs.table(m)
-        for i, (case, step) in enumerate(zip(table.cases, table.steps)):
+        for case, step in zip(table.cases, table.steps):
             assert step.kind == BLOCK_KINDS[case.name]
             x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            ref = x if i == 0 else apply_structured(placement_operator(case, m), x)
+            ref = apply_structured(placement_operator(case, m), x)
             lam, spare, term = np.empty((3, dim, dim), dtype=complex)
             lam[:] = x
             got, free = apply_block_step(step, lam, spare, term)
@@ -406,10 +406,10 @@ def prefix_lambdas(table, m, depth):
     one structured product as `circuit_unitary` applies it, so it equals
     `circuit_unitary` of the prefix bit for bit.
     """
-    ops = [None if p.is_wire else placement_operator(p, m) for p in table.cases]
+    ops = [placement_operator(p, m) for p in table.cases]
     levels = [identity(1 << m)[None]]
     for _ in range(depth):
-        levels.append(np.stack([parent if op is None else apply_structured(op, parent)
+        levels.append(np.stack([apply_structured(op, parent)
                                 for parent in levels[-1] for op in ops]))
     return levels
 
@@ -472,7 +472,7 @@ def test_calls_on_one_table_reuse_one_scratch(monkeypatch, m, kind):
 
 def test_a_table_of_the_wire_alone_has_no_prefix_depth():
     # two-qubit gates only, on one qubit: every prefix is the identity
-    table = GateSet(one_qubit=(), two_qubit=(Gate("CNOT", CNOT_MATRIX, 2),)).table(1)
+    table = GateSet((Gate("CNOT", CNOT_MATRIX, 2),)).table(1)
     assert len(table) == 1 and evaluate.kernel_scratch(evaluate.RowSparseScratch, table).depth == 0
     _, corr, _ = evaluate_batch(np.zeros((3, 4), dtype=np.int64), table, GOALS[1], FP)
     assert corr.tolist() == [correctness(identity(2), GOALS[1])] * 3

@@ -127,7 +127,7 @@ def test_builtin_queries_examine_a_fixed_number_of_circuits(gs, name, max_gates,
     if min_cost is not None:
         # a circuit cheaper than c has at most (c - 1) // c_min gates, so a
         # search at that budget proves the written optimum for every budget
-        c_min = min(g.cost for g in gs.one_qubit + gs.two_qubit)
+        c_min = min(g.cost for g in gs.gates)
         assert c_min >= 1
         assert min_cost == builtin(name).optimal_cost
         assert max_gates >= (min_cost - 1) // c_min
@@ -176,7 +176,7 @@ def test_zero_gate_budget_examines_the_root_only(gs):
 @pytest.mark.parametrize("max_gates", range(4))
 def test_a_gate_set_with_no_placement_examines_the_root_only(gs, max_gates):
     # a two-qubit gate has no placement on one qubit, so only the root exists
-    no_placement = GateSet(one_qubit=(), two_qubit=gs.two_qubit)
+    no_placement = GateSet(tuple(g for g in gs.gates if g.arity == 2))
     assert len(no_placement.table(1)) == 1
     report = min_cost_search(GoalSpec(1, identity(2)), max_gates, no_placement)
     assert (report.min_cost, report.witness, report.circuits_examined) == (0, [], 1)
@@ -296,8 +296,7 @@ def test_blocked_search_matches_recursive_dfs(gate_sets, data, extended, m, dept
 def small_gate_set(base, name):
     """One gate of `base` alone: few placements, so that a clan can span
     three walk levels."""
-    return GateSet(one_qubit=tuple(g for g in base.one_qubit if g.name == name),
-                   two_qubit=tuple(g for g in base.two_qubit if g.name == name))
+    return GateSet(tuple(g for g in base.gates if g.name == name))
 
 
 # (gate set, m, BLOCK_BYTES, max_gates, (L, c)): a smaller block memory makes
@@ -373,8 +372,7 @@ def test_block_step_on_a_stack_equals_the_step_on_each_matrix(gate_sets, m):
             spare, term = np.empty((2, 3, dim, dim), dtype=complex)
             got = apply_block_step(step, x.copy(), spare, term)[0]
             assert got.tobytes() == np.stack(each).tobytes()
-    assert kinds == ({"wire", "diagonal", "permutation", "dense"} if m > 1
-                     else {"wire", "diagonal", "dense"})
+    assert kinds == ({"diagonal", "permutation", "dense"} if m > 1 else {"diagonal", "dense"})
 
 
 def structured_block_rows(operators, depth):
@@ -589,7 +587,7 @@ def test_queries_on_one_table_share_one_block(gate_sets, monkeypatch):
 
     monkeypatch.setattr(PlacementTable, "kept", recording)
     # gate sets of their own, so that no earlier test has built on their tables
-    base, extended = (GateSet(one_qubit=g.one_qubit, two_qubit=g.two_qubit) for g in gate_sets)
+    base, extended = (GateSet(g.gates) for g in gate_sets)
     for name in ("entangle2", "swap", "controlled_s", "entangle2"):
         assert_matches_reference(builtin(name), 4, base)
     # each query looks up one block and one plan, built by the first

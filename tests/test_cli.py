@@ -139,6 +139,19 @@ def test_verify_empty_circuit_vs_entangle2(tmp_path, capsys):
     assert "correctness: 0.3535" in out
 
 
+def test_verify_reads_a_wire_in_a_circuit_file_as_the_wire(tmp_path, capsys):
+    # the wire is keyed by top 0, whatever top the file gives it
+    outs = []
+    for wires in ([], [{"gate": "wire", "top": 1}]):
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps({"qubits": 2, "gates": [{"gate": "H", "top": 0}, *wires,
+                                                           {"gate": "CNOT", "top": 0}]}))
+        code, out, _ = run(capsys, "verify", "--goal", "entangle2", "--circuit", str(path))
+        outs.append((code, out))
+    assert outs[1] == outs[0] and outs[0][0] == 0
+    assert "correctness: 1.0000" in outs[0][1] and "cost:        3" in outs[0][1]
+
+
 def test_verify_a_circuit_on_too_many_qubits_exits_1(tmp_path, capsys):
     # the placement table for the file's qubit count was built before it was
     # compared with the goal's, and failed in numpy
@@ -564,11 +577,17 @@ def test_config_keys_that_name_no_flag_are_ignored(tmp_path, capsys):
      "gate 'X' is not unitary: max |U^dag U - I| = inf, over the tolerance 1e-10"),
     (["brute", "--max-gates", "1", "--goal-file"], "goal.json", {"matrix": []},
      "goal matrix must be a list of equally long rows of [re, im] number pairs"),
-    # 2048 rows and no qubit count: the count read from the rows is clamped to 10
+    # no qubit count and no 2^m x 2^m shape for 1 to 10 qubits, as in the last
+    # two cases: the message names the shape alone, not a count the file never gave
     (["brute", "--max-gates", "1", "--goal-file"], "goal.json", {"matrix": [[[1, 0]]] * 2048},
-     "goal matrix of shape (2048, 1) is not 2^qubits x 2^qubits (qubits=10)"),
+     "goal matrix of shape (2048, 1) is not 2^qubits x 2^qubits for 1 to 10 qubits"),
     (["brute", "--max-gates", "1", "--goal-file"], "goal.json",
      {"matrix": [[[math.inf, 0], [0, 0]], [[0, 0], [1, 0]]]}, "goal matrix has a non-finite entry"),
+    (["brute", "--max-gates", "1", "--goal-file"], "goal.json",
+     {"matrix": [[[float(i == j), 0] for j in range(3)] for i in range(3)]},
+     "goal matrix of shape (3, 3) is not 2^qubits x 2^qubits for 1 to 10 qubits"),
+    (["brute", "--max-gates", "1", "--goal-file"], "goal.json", {"matrix": [[[1, 0]]]},
+     "goal matrix of shape (1, 1) is not 2^qubits x 2^qubits for 1 to 10 qubits"),
 ])
 def test_file_of_the_wrong_json_shape_exits_1(tmp_path, capsys, argv, name, content, message):
     path = tmp_path / name

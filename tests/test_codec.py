@@ -132,13 +132,13 @@ def test_render_ascii_draws_controls_from_the_oriented_matrix(gs):
     # the lower one in its swapped orientation
     controlled = np.eye(4, dtype=complex)
     controlled[2:, 2:] = H_MATRIX
-    user = GateSet(one_qubit=(), two_qubit=(Gate("CU", controlled, 2),))
+    user = GateSet((Gate("CU", controlled, 2),))
     text = render_ascii([user.placement("CU", 0, 3), user.placement("CU2", 1, 3)], 3)
     assert text.splitlines() == ["q0: -----o-------------",
                                  "q1: ----[CU]--[CU2]----",
                                  "q2: ------------o------"]
     # a gate controlled by neither wire spans both
-    swap = GateSet(one_qubit=(), two_qubit=(Gate("SW", SWAP_MATRIX, 3),))
+    swap = GateSet((Gate("SW", SWAP_MATRIX, 3),))
     assert render_ascii([swap.placement("SW", 0, 2)], 2) == "q0: ----[SW----\nq1: ----SW]----"
 
 

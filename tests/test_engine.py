@@ -221,6 +221,6 @@ def test_gate_budget_must_be_positive(gs, g):
 def test_gate_set_without_placements_on_the_goal_is_rejected():
     from oracle_forge.gates import CNOT_MATRIX, Gate, GateSet
 
-    two_only = GateSet(one_qubit=(), two_qubit=(Gate("CNOT", CNOT_MATRIX, 2),))
+    two_only = GateSet((Gate("CNOT", CNOT_MATRIX, 2),))
     with pytest.raises(ValueError, match="no gate that fits on 1 qubit"):
         evolve(GoalSpec(1, identity(2)), two_only, 3, small_params())

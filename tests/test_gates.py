@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracle_forge.cli import extend_gate_set
+from oracle_forge.evaluate import GoalSpec
 from oracle_forge.gates import (
     CNOT2_MATRIX,
     CNOT_MATRIX,
@@ -14,6 +15,7 @@ from oracle_forge.gates import (
     default_gate_set,
     placement_operator,
 )
+from oracle_forge.kron_apply import block_step, row_sparse
 from oracle_forge.linalg import identity, is_unitary, kron
 
 
@@ -35,7 +37,8 @@ def test_case_count_increasing(gs):
 
 def test_case_zero_is_wire(gs):
     p = gs.cases(2)[0]
-    assert p.is_wire and p.top == 0 and p.span == 2
+    assert p.is_wire and p.top == 0 and p.span == 1 and p.cost == 0
+    assert np.array_equal(p.matrix, identity(2))
 
 
 def test_case_ordering_anchors(gs):
@@ -77,7 +80,7 @@ def test_placement_costs(gs):
 
 def test_empty_gate_set_rejected():
     with pytest.raises(ValueError):
-        GateSet(one_qubit=(), two_qubit=())
+        GateSet(())
 
 
 def test_gate_unitarity_enforced():
@@ -87,6 +90,18 @@ def test_gate_unitarity_enforced():
     with pytest.raises(ValueError, match=r"^gate 'near' is not unitary: max \|U\^dag U - I\| = "
                                          r"4\.000e-09, over the tolerance 1e-10$"):
         Gate("near", np.diag([1 + 2e-9, 1]).astype(complex), 1)
+
+
+@pytest.mark.parametrize("build,what", [
+    (lambda matrix: Gate("R", matrix, 1), "gate 'R': matrix"),
+    (lambda matrix: GoalSpec(1, matrix), "goal matrix"),
+], ids=["gate", "goal"])
+def test_a_gate_or_goal_matrix_is_converted_once_to_a_complex_array(build, what):
+    assert build([[0, 1], [1, 0]]).matrix.dtype == complex
+    assert build(np.array([[0, 1], [1, 0]])).matrix.dtype == complex
+    with pytest.raises(ValueError) as err:
+        build([[1, 0], [0]])
+    assert str(err.value) == f"{what} must be a rectangular array of numbers"
 
 
 def test_gate_rejects_a_matrix_of_the_wrong_shape_or_a_non_finite_entry():
@@ -109,7 +124,7 @@ def test_extend_gate_set(gs):
          "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
     ]
     ext = extend_gate_set(gs, entries)
-    assert len(ext.one_qubit) == 4
+    assert [g.name for g in ext.gates] == ["S", "T", "H", "CNOT", "X"]
     assert case_count(2, ext) == 4 * 2 + 2 * 1 * 1 + 1
     assert np.array_equal(ext.placement("X", 0, 2).matrix, np.array(x, dtype=complex))
 
@@ -164,10 +179,39 @@ def test_placement_table_is_built_once_per_qubit_count(gs):
     table = gs.table(3)
     assert table.cases[0].is_wire and table.costs[0] == 0
     assert list(table.costs) == [p.cost for p in table.cases]
-    for p in table.cases[1:]:
+    for p in table.cases:
         op = placement_operator(p, 3)
         assert op.m == 1 << p.top and op.k == 1 << (3 - p.top - p.span)
         assert np.array_equal(op.gate, p.matrix)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_every_table_entry_is_built_from_its_own_operator(gs, m):
+    # the wire included: it is the identity on qubit 0, with no special case
+    ext = extend_gate_set(gs, _gate_entries(("X", 1), ("W", 2)))
+    for table in (gs.table(m), ext.table(m)):
+        for i, p in enumerate(table.cases):
+            op = placement_operator(p, m)
+            step, (cols, vals) = block_step(op, 1 << m), row_sparse(op, 1 << m)
+            got = table.steps[i]
+            assert (got.shape, got.kind, len(got.entries)) == (
+                step.shape, step.kind, len(step.entries))
+            assert all(np.array_equal(a, b) for a, b in zip(got.entries, step.entries))
+            w = table.width[i]
+            assert w == cols.shape[1]
+            assert np.array_equal(table.cols[i, :, :w], cols)
+            assert np.array_equal(table.vals[i, :, :w], vals)
+        wire = table.steps[0]
+        assert (wire.kind, wire.entries, table.width[0]) == ("diagonal", (), 1)
+        assert table.cols[0, :, 0].tolist() == list(range(1 << m))
+
+
+def test_one_qubit_gates_are_numbered_before_the_families_in_the_order_given():
+    cz = Gate("CZ", np.diag([1, 1, 1, -1]), 2)
+    mixed = GateSet((Gate("S", S_MATRIX, 1), cz, Gate("T", T_MATRIX, 1)))
+    assert [(p.name, p.top) for p in mixed.cases(2)] == [
+        ("wire", 0), ("S", 0), ("S", 1), ("T", 0), ("T", 1), ("CZ", 0), ("CZ2", 0)]
+    assert case_count(2, mixed) == 7
 
 
 def test_a_table_beyond_the_largest_matrix_is_rejected_before_it_is_built():

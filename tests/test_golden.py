@@ -52,8 +52,8 @@ WORK = {
     "synth-entangle3": {"generations": 84, "rows drawn": 16_800, "rows scored": 16_800},
     "synth-controlled_s": {"generations": 225, "rows drawn": 45_000, "rows scored": 32_858},
     "synth-ghz6": {"generations": 54, "rows drawn": 10_800, "rows scored": 10_800,
-                   "diagonal steps": 5_276, "permutation steps": 2_043,
-                   "dense steps": 1_840, "wire steps": 2_000},
+                   "diagonal steps": 7_276, "permutation steps": 2_043,
+                   "dense steps": 1_840},
 }
 
 

@@ -143,7 +143,8 @@ def test_row_sparse_rows_rebuild_the_embedding(m, n, k):
     assert not (~terms[:, :-1] & terms[:, 1:]).any()
     assert np.all(np.where(terms[:, 1:], np.diff(cols, axis=1) > 0, True))
     assert not cols[~terms].any()
-    wire_cols, wire_vals = row_sparse(None, op.dim)
+    # the identity on the top qubit, the placement table's wire, reads each row itself
+    wire_cols, wire_vals = row_sparse(StructuredOperator(1, identity(2), op.dim // 2), op.dim)
     assert wire_cols.tolist() == [[r] for r in range(op.dim)] and np.all(wire_vals == 1)
 
 
